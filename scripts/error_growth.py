@@ -24,7 +24,6 @@ def main(argv=None) -> int:
     parser.add_argument("--dims", type=int, default=120)
     parser.add_argument("--samples", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    write_records(sweep(plan, threads=args.threads), args.out, args.format)
+    write_records(sweep(plan), args.out, args.format)
     return 0
 
 

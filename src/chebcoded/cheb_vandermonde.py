@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Rng, as_matrix, cond, gaussian_matrix
-from .parallel import parallel_map
 from .poly_basis import chebyshev_values
 
 __all__ = [
@@ -41,6 +40,10 @@ EXHAUSTIVE_SUBSET_LIMIT = 10**6
 
 # Enumerating all m-column Gaussian submatrices gets pointless beyond this.
 _GAUSSIAN_SUBSET_LIMIT = 10**5
+
+# Survivor submatrices are gathered and conditioned in stacks of at most
+# this many bytes, one batched ``cond`` call per stack.
+COND_CHUNK_BYTES = 1 << 24
 
 
 class BudgetExceededError(ValueError):
@@ -102,7 +105,7 @@ def iter_column_subsets(n: int, size: int):
 def sample_column_subsets(n: int, size: int, count: int, rng: Rng) -> list[tuple[int, ...]]:
     """``count`` distinct subsets, drawn uniformly without replacement.
 
-    The list is generated single-threaded from ``rng`` so a given seed
+    The list is generated in order from ``rng`` so a given seed
     always yields the same subsets in the same order; if ``count`` covers
     all subsets the enumeration is exhaustive (lexicographic).
     """
@@ -137,6 +140,19 @@ class CondStats:
     worst_subset: SubsetSpec
 
 
+def _subset_conds(mat: np.ndarray, idx: np.ndarray, norm: str) -> np.ndarray:
+    """Condition numbers of ``mat[:, idx[s]]`` for every row s of the
+    0-based index array ``idx``, gathered in byte-bounded stacks."""
+    rows, size = mat.shape[0], idx.shape[1]
+    chunk = max(1, COND_CHUNK_BYTES // (8 * rows * size))
+    return np.concatenate(
+        [
+            cond(mat.T[idx[start : start + chunk]].transpose(0, 2, 1), norm)
+            for start in range(0, len(idx), chunk)
+        ]
+    )
+
+
 def subset_cond_stats(
     kind: str,
     k: int,
@@ -146,15 +162,15 @@ def subset_cond_stats(
     mode: str = "exhaustive",
     samples: int = 20000,
     rng: Rng | None = None,
-    threads: int = 1,
 ) -> CondStats:
     """Worst/average condition number over square column submatrices.
 
     Builds the k x n generator once, then visits size-``subset_size``
     column subsets (all of them, or ``samples`` drawn without replacement
     from ``rng``).  Singular submatrices contribute the infinity sentinel,
-    which dominates the worst case.  The mean is accumulated in subset
-    order, so results are identical regardless of ``threads``.
+    which dominates the worst case; the worst subset is the first one
+    reaching it.  The mean is accumulated in subset order, so results do
+    not depend on how the subsets are split into stacks.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
     n = pts.size
@@ -180,19 +196,12 @@ def subset_cond_stats(
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
 
-    idx_arrays = [np.asarray(s, dtype=np.int64) - 1 for s in subsets]
-    conds = parallel_map(lambda idx: cond(gen[:, idx], norm), idx_arrays, threads)
-
-    worst = -math.inf
-    worst_at = 0
-    total_cond = 0.0
-    for pos, value in enumerate(conds):
-        if value > worst:
-            worst = value
-            worst_at = pos
-        total_cond += value
-    average = total_cond / len(conds)
-    return CondStats(worst=worst, average=average, worst_subset=SubsetSpec(n, subsets[worst_at]))
+    conds = _subset_conds(gen, np.asarray(subsets, dtype=np.int64) - 1, norm)
+    worst_at = int(np.argmax(conds))
+    average = sum(conds.tolist()) / len(subsets)
+    return CondStats(
+        worst=float(conds[worst_at]), average=average, worst_subset=SubsetSpec(n, subsets[worst_at])
+    )
 
 
 def theorem_bound_value(n: int, s: int) -> float:
@@ -227,11 +236,10 @@ def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[i
         )
     threshold = m * float(workers) ** (2 * (workers - m))
     bound_prob = 5.6 / float(workers) ** (workers - m)
-    subsets = [np.asarray(s, dtype=np.int64) - 1 for s in iter_column_subsets(workers, m)]
+    idx = np.asarray(list(iter_column_subsets(workers, m)), dtype=np.int64) - 1
     violations = 0
     for _ in range(trials):
         h = gaussian_matrix(rng, m, workers)
-        worst = max(cond(h[:, idx], "spectral") for idx in subsets)
-        if worst > threshold:
+        if _subset_conds(h, idx, "spectral").max() > threshold:
             violations += 1
     return violations, bound_prob

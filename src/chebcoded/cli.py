@@ -40,7 +40,6 @@ class UsageError(ValueError):
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1, help="worker concurrency cap (0 = auto)")
     parser.add_argument("--quiet", action="store_true", help="suppress informational lines")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -145,7 +144,7 @@ def _cmd_cond(args) -> int:
         else {"mode": "exhaustive"},
         "seeds": [args.seed],
     }
-    return _emit_and_check(args, sim_harness.sweep([row], threads=args.threads))
+    return _emit_and_check(args, sim_harness.sweep([row]))
 
 
 def _scheme_kwargs(args) -> dict:
@@ -187,7 +186,7 @@ def _cmd_mm(args) -> int:
     else:
         fault = FaultModel(mode="exhaustive")
 
-    trial = run_trial(config, a, b, fault, threads=args.threads)
+    trial = run_trial(config, a, b, fault)
     records = [
         sim_harness.ExperimentRecord(
             scheme=args.scheme,
@@ -219,7 +218,7 @@ def _cmd_mm(args) -> int:
 
 def _cmd_table1(args) -> int:
     plan = sim_harness.table1_plan(args.seed, dims=(args.dims, args.dims, args.dims))
-    return _emit_and_check(args, sim_harness.sweep(plan, threads=args.threads))
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_sweep(args) -> int:
@@ -232,7 +231,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(plan, list):
         raise UsageError("plan file must hold a JSON array of row objects")
-    records = sim_harness.sweep(plan, threads=args.threads)
+    records = sim_harness.sweep(plan)
     sim_harness.write_records(records, args.out, args.format)
     return 0
 
@@ -252,7 +251,7 @@ def _cmd_lagrange(args) -> int:
         else {"mode": "exhaustive"},
         "seeds": [args.seed + i for i in range(5)],
     }
-    return _emit_and_check(args, sim_harness.sweep([row], threads=args.threads))
+    return _emit_and_check(args, sim_harness.sweep([row]))
 
 
 def _cmd_bound(args) -> int:
@@ -283,7 +282,6 @@ def _cmd_bound(args) -> int:
         args.n - args.s,
         norm="frobenius",
         mode="exhaustive",
-        threads=args.threads,
     )
     bound = theorem_bound_value(args.n, args.s)
     _emit_lines(

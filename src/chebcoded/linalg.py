@@ -1,11 +1,12 @@
 """Dense float64 linear algebra: products, LU solves with partial
-pivoting, Frobenius/spectral condition numbers (the latter via cyclic
-Jacobi on the Gram matrix), and a seeded counter-based Gaussian source.
+pivoting, spectral/Frobenius condition numbers of single matrices or
+stacks (both from one batched LAPACK SVD), and a seeded counter-based
+Gaussian source.
 
-Matrices are plain 2-D float64 ndarrays, validated finite at the public
-entry points and treated as immutable once built.  ``Rng`` is the only
-stateful object here; it is single-owner, and independent child streams
-come from :meth:`Rng.spawn`.
+Matrices are plain 2-D float64 ndarrays (``cond`` also takes stacks of
+them), validated finite at the public entry points and treated as
+immutable once built.  ``Rng`` is the only stateful object here; it is
+single-owner, and independent child streams come from :meth:`Rng.spawn`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "solve",
     "invert",
     "cond",
-    "jacobi_singular_values",
     "Rng",
     "gaussian_matrix",
 ]
@@ -128,106 +128,37 @@ def invert(a) -> np.ndarray:
     return solve(a, np.eye(a.shape[0]))
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint index pairs covering
-    every (p, q) exactly once per sweep."""
-    players = list(range(n))
-    if n % 2:
-        players.append(-1)  # bye
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        top = players[: m // 2]
-        bottom = players[m // 2 :][::-1]
-        ps, qs = [], []
-        for x, y in zip(top, bottom):
-            if x >= 0 and y >= 0:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        rounds.append((np.asarray(ps, dtype=np.int64), np.asarray(qs, dtype=np.int64)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def cond(a, norm: str = "spectral"):
+    """Condition number ||a|| * ||a^-1|| of a square matrix or a stack.
 
+    ``a`` is one k x k matrix (returns a float) or a ``(..., k, k)``
+    stack (returns an array of the leading shape).  Both norms come from
+    the same LAPACK singular values s_1 >= ... >= s_k: spectral is
+    s_1 / s_k, Frobenius is sqrt(sum s_i^2) * sqrt(sum 1 / s_i^2).
 
-def jacobi_singular_values(a, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values of ``a`` via cyclic Jacobi on the Gram matrix a^T a.
-
-    Each sweep visits every index pair once, in round-robin rounds of
-    disjoint pairs; rotations within a round act on disjoint planes, so
-    they commute and are applied together.  Sweeps stop when the
-    off-diagonal Frobenius mass drops below ``tol * ||a^T a||_F`` (the
-    norm is rotation-invariant, so it is fixed up front).  Returned
-    values are sorted in decreasing order.
+    A matrix counts as singular, and reports math.inf, when
+    s_k <= k * eps * s_1; an all-zero matrix is singular.  Returning inf
+    instead of raising lets one bad case dominate a worst-case statistic.
     """
-    a = as_matrix(a)
-    b = a.T @ a
-    n = b.shape[0]
-    if n == 0:
-        return np.empty(0)
-    gram_norm = float(np.linalg.norm(b))
-    if gram_norm > 0.0 and n > 1:
-        rounds = _round_robin_pairs(n)
-        # rotations this small cannot lift the off-diagonal mass above the
-        # stopping threshold, so skipping them is safe and prunes late sweeps
-        skip_below = tol * gram_norm / (2.0 * n)
-        for _ in range(max_sweeps):
-            off = math.sqrt(max(0.0, float(np.sum(b * b)) - float(np.sum(np.diag(b) ** 2))))
-            if off < tol * gram_norm:
-                break
-            for p_all, q_all in rounds:
-                bpq = b[p_all, q_all]
-                active = np.abs(bpq) > skip_below
-                if not active.any():
-                    continue
-                p, q = p_all[active], q_all[active]
-                bpq = bpq[active]
-                with np.errstate(over="ignore", divide="ignore"):
-                    tau = (b[q, q] - b[p, p]) / (2.0 * bpq)
-                    sign = np.where(tau >= 0.0, 1.0, -1.0)
-                    big = np.abs(tau) > 1e150
-                    t = np.where(
-                        big,
-                        0.5 / np.where(big, tau, 1.0),  # tan shrinks as 1/(2 tau)
-                        sign / (np.abs(tau) + np.sqrt(1.0 + np.minimum(np.abs(tau), 1e150) ** 2)),
-                    )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = b[p, :], b[q, :]  # fancy indexing copies
-                b[p, :] = c[:, None] * row_p - s[:, None] * row_q
-                b[q, :] = s[:, None] * row_p + c[:, None] * row_q
-                col_p, col_q = b[:, p], b[:, q]
-                b[:, p] = c[None, :] * col_p - s[None, :] * col_q
-                b[:, q] = s[None, :] * col_p + c[None, :] * col_q
-                # each pair's own entry is zeroed exactly by its own rotation
-                b[p, q] = 0.0
-                b[q, p] = 0.0
-    eigs = np.clip(np.diag(b), 0.0, None)
-    return np.sqrt(np.sort(eigs)[::-1])
-
-
-def cond(a, norm: str = "spectral") -> float:
-    """Condition number ||a|| * ||a^-1|| under the chosen norm.
-
-    Returns math.inf for (numerically) singular input instead of raising,
-    so sweeps over many submatrices can let one bad case dominate the
-    worst-case statistic.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"condition number needs a square matrix, got {a.shape}")
-    if norm == "frobenius":
-        try:
-            inv = invert(a)
-        except SingularMatrixError:
-            return math.inf
-        return float(np.linalg.norm(a) * np.linalg.norm(inv))
-    if norm == "spectral":
-        sv = jacobi_singular_values(a)
-        smin = float(sv[-1])
-        if smin <= 0.0:
-            return math.inf
-        return float(sv[0]) / smin
-    raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+        raise ValueError(f"condition number needs square matrices, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    if norm not in ("spectral", "frobenius"):
+        raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
+    k = arr.shape[-1]
+    sv = np.linalg.svd(arr, compute_uv=False)  # descending along the last axis
+    s_max, s_min = sv[..., 0], sv[..., -1]
+    singular = s_min <= k * np.finfo(np.float64).eps * s_max
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # singular lanes
+        if norm == "spectral":
+            value = s_max / s_min
+        else:
+            rel = sv / s_max[..., None]  # scaled so that 1 / rel^2 cannot overflow
+            value = np.sqrt(np.sum(rel * rel, axis=-1) * np.sum(1.0 / (rel * rel), axis=-1))
+    value = np.where(singular, np.inf, value)
+    return float(value) if arr.ndim == 2 else value
 
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)

@@ -58,6 +58,9 @@ LAGRANGE_SCHEMES = ("lagrange_chebyshev", "lagrange_monomial")
 # Exhaustive subset replay above this count is refused (sample instead).
 SUBSET_BUDGET = 10**6
 
+# Subsets are replayed in chunks whose working set stays under this many floats.
+REPLAY_CHUNK_FLOATS = 6_000_000
+
 # table1_plan enumerates exhaustively up to here, then samples.
 _TABLE1_EXHAUSTIVE_CAP = 20000
 _TABLE1_SAMPLES = 2000
@@ -115,8 +118,7 @@ def relative_error(truth, estimate) -> float:
 
 
 def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> list[tuple[int, ...]]:
-    """Materialize the subset list for a fault model (single-threaded, so
-    sampling is reproducible regardless of later parallelism)."""
+    """Materialize the subset list for a fault model, in replay order."""
     if fault.mode == "fixed":
         subset = tuple(sorted(int(s) for s in fault.subset))
         if len(subset) != threshold or len(set(subset)) != len(subset):
@@ -135,7 +137,7 @@ def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> list[tu
     return list(iter_column_subsets(workers, threshold))
 
 
-def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets, threads):
+def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets):
     """Per-subset relative errors of the folded fusion map.
 
     For survivors R the estimate of every output entry is its eval row
@@ -144,11 +146,9 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets, thread
     solved in vectorized chunks: one Gaussian elimination with partial
     pivoting runs across the whole chunk, with the same pivot threshold
     as :func:`chebcoded.linalg.lu_factor`; lanes that fail it (or overflow
-    outright) report the infinity sentinel.  Chunked execution is
-    single-threaded and independent of ``threads``, so results never
-    depend on the concurrency cap.
+    outright) report the infinity sentinel.  Every lane is computed on
+    its own, so results do not depend on the chunk size.
     """
-    del threads  # replay is vectorized; the cap only matters for cond sweeps
     workers = generator.shape[1]
     k, q = recovery.shape
     entries = all_evals.shape[0]
@@ -156,7 +156,7 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets, thread
     idx = np.asarray(subsets, dtype=np.int64) - 1  # (total, k)
 
     floats_per_subset = k * k + 2 * k * q + workers * q + 2 * entries * q
-    chunk = max(1, min(len(subsets), 6_000_000 // max(1, floats_per_subset)))
+    chunk = max(1, min(len(subsets), REPLAY_CHUNK_FLOATS // max(1, floats_per_subset)))
     errors = np.empty(len(subsets))
     for start in range(0, len(subsets), chunk):
         sel = idx[start : start + chunk]
@@ -223,7 +223,7 @@ def _reduce_errors(errors, subsets) -> TrialResult:
     return TrialResult(worst=worst, average=total / len(errors), worst_subset=subsets[worst_at])
 
 
-def run_trial(config, a, b, fault: FaultModel, threads: int = 1) -> TrialResult:
+def run_trial(config, a, b, fault: FaultModel) -> TrialResult:
     """Full matmul-code trial: encode, run all workers, replay erasures."""
     a = as_matrix(a)
     b = as_matrix(b)
@@ -233,13 +233,11 @@ def run_trial(config, a, b, fault: FaultModel, threads: int = 1) -> TrialResult:
     truth_blocks = matmul_codes.truth_block_table(config, matmul(a, b))
     op = matmul_codes.decode_operator(config)
     subsets = survivor_subsets(fault, config.workers, op.threshold)
-    errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, subsets, threads)
+    errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, subsets)
     return _reduce_errors(errors, subsets)
 
 
-def run_lagrange_trial(
-    config, f, data, fault: FaultModel, basis: str = "chebyshev", threads: int = 1
-) -> TrialResult:
+def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> TrialResult:
     """Lagrange-coding trial; truth is f applied to the raw data points."""
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
@@ -249,7 +247,7 @@ def run_lagrange_trial(
     subsets = survivor_subsets(fault, config.workers, config.threshold)
     # estimate (m, v) = anchors^T @ G_R^{-1}^T ... folded as in _replay_errors,
     # with output components playing the role of entries
-    errors = _replay_errors(gen, anchor_block, outs.T, truth.T, subsets, threads)
+    errors = _replay_errors(gen, anchor_block, outs.T, truth.T, subsets)
     return _reduce_errors(errors, subsets)
 
 
@@ -410,7 +408,7 @@ def _row_metrics(row: dict) -> list[str]:
     return list(metrics)
 
 
-def _run_matmul_row(row: dict, threads: int) -> list[ExperimentRecord]:
+def _run_matmul_row(row: dict) -> list[ExperimentRecord]:
     scheme = row["scheme"]
     workers = int(row["P"])
     delta = int(row["delta"])
@@ -424,7 +422,7 @@ def _run_matmul_row(row: dict, threads: int) -> list[ExperimentRecord]:
         rng = Rng(seed)
         a = gaussian_matrix(rng, n1, n2)
         b = gaussian_matrix(rng, n2, n3)
-        trial = run_trial(config, a, b, _row_fault(row, seed), threads)
+        trial = run_trial(config, a, b, _row_fault(row, seed))
         worsts.append(trial.worst)
         averages.append(trial.average)
 
@@ -449,7 +447,7 @@ def _run_matmul_row(row: dict, threads: int) -> list[ExperimentRecord]:
     return out
 
 
-def _run_lagrange_row(row: dict, threads: int) -> list[ExperimentRecord]:
+def _run_lagrange_row(row: dict) -> list[ExperimentRecord]:
     scheme = row["scheme"]
     basis = "chebyshev" if scheme == "lagrange_chebyshev" else "monomial"
     workers = int(row["P"])
@@ -470,7 +468,7 @@ def _run_lagrange_row(row: dict, threads: int) -> list[ExperimentRecord]:
         rng = Rng(seed)
         data = gaussian_matrix(rng, m, dim)
         f = lagrange_codes.linear_map(rng.normals(dim))
-        trial = run_lagrange_trial(config, f, data, _row_fault(row, seed), basis, threads)
+        trial = run_lagrange_trial(config, f, data, _row_fault(row, seed), basis)
         worsts.append(trial.worst)
         averages.append(trial.average)
 
@@ -495,7 +493,7 @@ def _run_lagrange_row(row: dict, threads: int) -> list[ExperimentRecord]:
     return out
 
 
-def _run_cond_row(row: dict, threads: int) -> list[ExperimentRecord]:
+def _run_cond_row(row: dict) -> list[ExperimentRecord]:
     scheme = row["scheme"]
     workers = int(row["P"])
     delta = int(row["delta"])
@@ -508,10 +506,10 @@ def _run_cond_row(row: dict, threads: int) -> list[ExperimentRecord]:
     points = cheb_grid(workers).points
     if fault.mode == "random":
         stats = subset_cond_stats(
-            scheme, rows_k, points, rows_k, norm, "sampled", fault.samples, Rng(seed), threads
+            scheme, rows_k, points, rows_k, norm, "sampled", fault.samples, Rng(seed)
         )
     else:
-        stats = subset_cond_stats(scheme, rows_k, points, rows_k, norm, "exhaustive", threads=threads)
+        stats = subset_cond_stats(scheme, rows_k, points, rows_k, norm, "exhaustive")
 
     out = []
     for metric in _row_metrics(row):
@@ -534,24 +532,24 @@ def _run_cond_row(row: dict, threads: int) -> list[ExperimentRecord]:
     return out
 
 
-def _run_row(row: dict, threads: int) -> list[ExperimentRecord]:
+def _run_row(row: dict) -> list[ExperimentRecord]:
     scheme = row["scheme"]
     if scheme in matmul_codes.FAMILIES:
-        return _run_matmul_row(row, threads)
+        return _run_matmul_row(row)
     if scheme in LAGRANGE_SCHEMES:
-        return _run_lagrange_row(row, threads)
+        return _run_lagrange_row(row)
     if scheme in COND_SCHEMES:
-        return _run_cond_row(row, threads)
+        return _run_cond_row(row)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def sweep(plan, threads: int = 1) -> list[ExperimentRecord]:
+def sweep(plan) -> list[ExperimentRecord]:
     """Run every plan row; failures land in the row's error column and
     never abort the sweep.  Output order follows plan order."""
     records: list[ExperimentRecord] = []
     for row in plan:
         try:
-            records.extend(_run_row(dict(row), threads))
+            records.extend(_run_row(dict(row)))
         except Exception as exc:  # noqa: BLE001 - per-row isolation is the contract
             for metric in _row_metrics_safe(row):
                 records.append(

@@ -198,6 +198,7 @@ def test_criterion_7_error_growth(fig8_records):
         assert worst[("orthomatdot", p)] <= 1e-5, (p, worst[("orthomatdot", p)])
 
 
+@pytest.mark.slow
 @pytest.mark.criterion("07b average error growth is monotone within the noise band")
 def test_criterion_7_monotonicity(fig8_records):
     avg = metric_table(fig8_records, "relerr_avg")

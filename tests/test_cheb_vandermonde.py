@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chebcoded import cheb_vandermonde
 from chebcoded.cheb_vandermonde import (
     BudgetExceededError,
     SubsetSpec,
@@ -101,6 +102,12 @@ class TestSubsetCondStats:
             assert stats.average == pytest.approx(sum(conds.values()) / 3, rel=1e-12)
             assert stats.worst_subset.indices == (2, 3)
 
+    def test_ties_report_the_first_subset(self):
+        # every 1x1 monomial submatrix is [1], so all subsets tie
+        stats = subset_cond_stats("monomial", 1, [0.1, 0.2, 0.3], 1)
+        assert stats.worst == stats.average == 1.0
+        assert stats.worst_subset.indices == (1,)
+
     def test_rectangular_subsets_rejected(self):
         with pytest.raises(ValueError):
             subset_cond_stats("chebyshev", 3, cheb_grid(5).points, 4)
@@ -126,13 +133,29 @@ class TestSubsetCondStats:
         assert sampled.worst == full.worst
         assert sampled.average == pytest.approx(full.average, rel=1e-12)
 
-    def test_threaded_results_identical(self):
-        pts = cheb_grid(9).points
-        lone = subset_cond_stats("chebyshev", 7, pts, 7, "frobenius", threads=1)
-        dual = subset_cond_stats("chebyshev", 7, pts, 7, "frobenius", threads=2)
-        assert lone.worst == dual.worst
-        assert lone.average == dual.average
-        assert lone.worst_subset == dual.worst_subset
+    @pytest.mark.parametrize("kind,norm", [("chebyshev", "frobenius"), ("monomial", "spectral")])
+    def test_chunking_does_not_change_results(self, monkeypatch, kind, norm):
+        pts = cheb_grid(12).points
+        one = subset_cond_stats(kind, 9, pts, 9, norm)
+        monkeypatch.setattr(cheb_vandermonde, "COND_CHUNK_BYTES", 5 * 8 * 9 * 9)
+        many = subset_cond_stats(kind, 9, pts, 9, norm)
+        assert one.worst == many.worst
+        assert one.average == many.average
+        assert one.worst_subset == many.worst_subset
+
+    def test_monomial_p30_matches_lapack_oracle(self):
+        # every k=27 submatrix of the 30-point grid; a Gram-matrix
+        # eigensolver saturated these near 2.5e7-2.8e7
+        pts = cheb_grid(30).points
+        stats = subset_cond_stats("monomial", 27, pts, 27, "spectral")
+        gen = build_generator("monomial", 27, pts)
+        subsets = np.asarray(list(iter_column_subsets(30, 27))) - 1
+        oracle = np.linalg.cond(gen.T[subsets].transpose(0, 2, 1), 2)
+        assert stats.worst == pytest.approx(5.9025e10, rel=1e-4)
+        assert stats.worst == pytest.approx(oracle.max(), rel=1e-6)
+        assert stats.average == pytest.approx(oracle.mean(), rel=1e-6)
+        # the grid is symmetric, so the two end blocks tie up to rounding
+        assert stats.worst_subset.indices in (tuple(range(1, 28)), tuple(range(4, 31)))
 
 
 class TestSampling:

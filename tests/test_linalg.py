@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chebcoded.cheb_vandermonde import build_generator, sample_column_subsets
 from chebcoded.linalg import (
     Rng,
     SingularMatrixError,
     cond,
     gaussian_matrix,
     invert,
-    jacobi_singular_values,
     lu_factor,
     matmul,
     solve,
 )
+from chebcoded.poly_basis import cheb_grid
 
 finite_entries = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -132,23 +133,128 @@ class TestCond:
             assert cond(a, "spectral") <= cond(a, "frobenius") * (1 + 1e-9)
 
 
-class TestJacobi:
+class TestCondStack:
+    """The stacked path: one (..., k, k) array in, one value per matrix out."""
+
     def test_diagonal_singular_values(self):
         d = np.diag([3.0, -2.0, 0.5, 1e-3])
-        assert jacobi_singular_values(d) == pytest.approx([3.0, 2.0, 0.5, 1e-3], abs=1e-12)
+        sv = np.array([3.0, 2.0, 0.5, 1e-3])
+        got = cond(np.stack([d, d[::-1, ::-1]]), "spectral")
+        assert got == pytest.approx([3000.0, 3000.0], rel=1e-12)
+        fro = math.sqrt(np.sum(sv**2) * np.sum(sv**-2.0))
+        assert cond(np.stack([d]), "frobenius") == pytest.approx([fro], rel=1e-12)
 
     def test_matches_direct_svd(self):
         rng = Rng(12)
         for n in (2, 3, 10, 33):
-            a = gaussian_matrix(rng, n, n)
-            mine = jacobi_singular_values(a)
-            ref = np.linalg.svd(a, compute_uv=False)
-            assert mine == pytest.approx(ref, rel=1e-9, abs=1e-10)
+            stack = np.stack([gaussian_matrix(rng, n, n) for _ in range(4)])
+            ref = np.linalg.svd(stack, compute_uv=False)
+            spectral = ref[:, 0] / ref[:, -1]
+            frobenius = np.sqrt(np.sum(ref**2, axis=1) * np.sum(ref**-2.0, axis=1))
+            assert cond(stack, "spectral") == pytest.approx(spectral, rel=1e-12)
+            assert cond(stack, "frobenius") == pytest.approx(frobenius, rel=1e-9)
 
     def test_orthogonal_input(self):
-        theta = 0.7
-        q = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-        assert jacobi_singular_values(q) == pytest.approx([1.0, 1.0], abs=1e-12)
+        rotations = []
+        for theta in (0.0, 0.7, 2.5):
+            c, s = math.cos(theta), math.sin(theta)
+            rotations.append([[c, -s], [s, c]])
+        assert cond(np.array(rotations), "spectral") == pytest.approx([1.0] * 3, abs=1e-12)
+        assert cond(np.array(rotations), "frobenius") == pytest.approx([2.0] * 3, abs=1e-12)
+
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_single_matrix_and_stack_agree(self, norm):
+        rng = Rng(21)
+        stack = np.stack([gaussian_matrix(rng, 6, 6) for _ in range(5)] + [np.ones((6, 6))])
+        got = cond(stack, norm)
+        assert isinstance(got, np.ndarray) and got.shape == (6,)
+        singles = [cond(a, norm) for a in stack]
+        assert all(type(v) is float for v in singles)
+        assert got.tolist() == singles
+        assert got[-1] == math.inf
+        assert cond(stack.reshape(2, 3, 6, 6), norm).tolist() == got.reshape(2, 3).tolist()
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(ValueError):
+            cond(np.ones((3, 2, 3)))
+        with pytest.raises(ValueError):
+            cond(np.ones(3))
+        with pytest.raises(ValueError):
+            cond(np.array([[[1.0, np.inf], [0.0, 1.0]]]))
+
+
+@pytest.mark.filterwarnings("error")
+class TestCondSingularRule:
+    """inf exactly when s_min <= k * eps * s_max, without float warnings."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_boundary_of_diag_one_t(self, norm):
+        edge = 2 * self.EPS  # k = 2
+        above = cond(np.diag([1.0, edge * 1.01]), norm)
+        assert math.isfinite(above)
+        assert above == pytest.approx(1.0 / (edge * 1.01), rel=1e-12)
+        assert cond(np.diag([1.0, edge]), norm) == math.inf
+        assert cond(np.diag([1.0, edge * 0.99]), norm) == math.inf
+        assert cond(np.diag([1.0, 0.0]), norm) == math.inf
+        assert cond(np.diag([1.0, 1e-160]), norm) == math.inf
+
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_rule_is_scale_invariant(self, norm):
+        for scale in (1e-200, 1e-100, 1e100, 1e200):
+            assert cond(scale * np.diag([1.0, 1e-15]), norm) == pytest.approx(1e15, rel=1e-12)
+            assert cond(scale * np.diag([1.0, 1e-16]), norm) == math.inf
+
+    def test_all_zero_input_is_singular(self):
+        assert cond(np.zeros((3, 3)), "spectral") == math.inf
+        assert cond(np.zeros((2, 3, 3)), "frobenius").tolist() == [math.inf, math.inf]
+
+
+def _grid_submatrices(kind: str, points: int):
+    """Survivor submatrices of the ``points``-point Chebyshev grid at
+    redundancy 3: the first, the last and two sampled subsets."""
+    k = points - 3
+    gen = build_generator(kind, k, cheb_grid(points).points)
+    subsets = [tuple(range(1, k + 1)), tuple(range(4, points + 1))]
+    subsets += sample_column_subsets(points, k, 2, Rng(points))
+    return np.stack([gen[:, np.asarray(s) - 1] for s in subsets])
+
+
+def _mpmath_conds(a, mpmath):
+    """(spectral, frobenius) of the float64 matrix ``a`` at 60 digits."""
+    s = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+    sv = [s[i] for i in range(a.shape[0])]
+    sum_sq = mpmath.fsum(x**2 for x in sv)
+    sum_inv_sq = mpmath.fsum(1 / x**2 for x in sv)
+    return float(max(sv) / min(sv)), float(mpmath.sqrt(sum_sq * sum_inv_sq))
+
+
+class TestCondOracle:
+    """LAPACK singular values against a 60-digit mpmath SVD of the same
+    float64 matrices, all with cond < 1e13.  The relative accuracy of s_min
+    is about eps * cond, so 1e-6 agreement is asked where cond < 1e11
+    (k <= 27 here) and 1e-5 at k = 30 (cond 8.2e11)."""
+
+    @pytest.mark.parametrize("kind", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize("points", [8, 16, 24, 30, 33])
+    def test_matches_mpmath(self, kind, points):
+        mpmath = pytest.importorskip("mpmath")
+        stack = _grid_submatrices(kind, points)
+        spectral, frobenius = cond(stack, "spectral"), cond(stack, "frobenius")
+        with mpmath.workdps(60):
+            oracle = [_mpmath_conds(a, mpmath) for a in stack]
+        for got_s, got_f, (want_s, want_f) in zip(spectral, frobenius, oracle):
+            assert want_s < 1e13
+            rtol = 1e-6 if want_s < 1e11 else 1e-5
+            assert got_s == pytest.approx(want_s, rel=rtol)
+            assert got_f == pytest.approx(want_f, rel=rtol)
+
+    def test_monomial_p30_is_not_saturated(self):
+        # the first k=27 submatrix of the 30-point monomial generator: a
+        # Gram-matrix eigensolver reported 2.53e7; the 60-digit value is 5.9025e10
+        stack = _grid_submatrices("monomial", 30)
+        assert cond(stack[0], "spectral") == pytest.approx(5.9025e10, rel=1e-4)
 
 
 class TestRng:

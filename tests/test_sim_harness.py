@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chebcoded import sim_harness
 from chebcoded.linalg import Rng, gaussian_matrix, matmul
 from chebcoded.matmul_codes import decode, encode, scheme_config, worker_compute
 from chebcoded.sim_harness import (
@@ -110,11 +111,14 @@ class TestRunTrial:
         t2 = run_trial(self.config, self.a, self.b, fault)
         assert t1 == t2
 
-    def test_threads_do_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         fault = FaultModel(mode="exhaustive")
-        t1 = run_trial(self.config, self.a, self.b, fault, threads=1)
-        t2 = run_trial(self.config, self.a, self.b, fault, threads=2)
-        assert t1 == t2
+        one = run_trial(self.config, self.a, self.b, fault)
+        monkeypatch.setattr(sim_harness, "REPLAY_CHUNK_FLOATS", 1)  # one subset per chunk
+        many = run_trial(self.config, self.a, self.b, fault)
+        assert one.worst == many.worst
+        assert one.average == many.average
+        assert one.worst_subset == many.worst_subset
 
     def test_singular_decode_contributes_infinity(self):
         # duplicate-free but near-coincident points make the monomial
