@@ -23,6 +23,7 @@ __all__ = [
     "EXHAUSTIVE_SUBSET_LIMIT",
     "BudgetExceededError",
     "SubsetSpec",
+    "check_survivors",
     "CondStats",
     "build_generator",
     "take_columns",
@@ -61,9 +62,17 @@ class SubsetSpec:
         idx = tuple(int(i) for i in self.indices)
         object.__setattr__(self, "indices", idx)
         if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"subset indices must be strictly increasing, got {idx}")
+            raise ValueError(f"subset indices must be distinct and increasing, got {idx}")
         if idx and (idx[0] < 1 or idx[-1] > self.n):
             raise ValueError(f"subset indices {idx} out of range [1, {self.n}]")
+
+
+def check_survivors(survivors, size: int, workers: int) -> tuple[int, ...]:
+    """Sorted survivor set: exactly ``size`` distinct indices in [1, workers]."""
+    surv = tuple(sorted(int(s) for s in survivors))
+    if len(surv) != size:
+        raise ValueError(f"decoder needs exactly {size} survivors, got {len(surv)}")
+    return SubsetSpec(workers, surv).indices
 
 
 def build_generator(kind: str, k: int, points) -> np.ndarray:

@@ -231,9 +231,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(plan, list):
         raise UsageError("plan file must hold a JSON array of row objects")
-    records = sim_harness.sweep(plan)
-    sim_harness.write_records(records, args.out, args.format)
-    return 0
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_lagrange(args) -> int:

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator
-from .linalg import as_matrix, lu_factor, lu_solve
+from .cheb_vandermonde import build_generator, check_survivors
+from .linalg import as_matrix, solve
 from .poly_basis import cheb_grid
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "worker_outputs",
     "lagrange_decode",
     "decode_generator",
-    "check_survivors",
 ]
 
 DECODE_BASES = ("chebyshev", "monomial")
@@ -142,17 +141,6 @@ def decode_generator(config: LagrangeConfig, basis: str) -> np.ndarray:
     return build_generator(kind, config.threshold, config.points)
 
 
-def check_survivors(config: LagrangeConfig, survivors) -> tuple[int, ...]:
-    surv = tuple(sorted(int(s) for s in survivors))
-    if len(surv) != config.threshold:
-        raise ValueError(f"decoder needs exactly {config.threshold} survivors, got {len(surv)}")
-    if len(set(surv)) != len(surv):
-        raise ValueError(f"survivor indices must be distinct, got {surv}")
-    if surv and (surv[0] < 1 or surv[-1] > config.workers):
-        raise ValueError(f"survivor indices {surv} out of range [1, {config.workers}]")
-    return surv
-
-
 def lagrange_decode(
     config: LagrangeConfig,
     f: PolyMap,
@@ -163,12 +151,13 @@ def lagrange_decode(
     """Estimate f at the m anchors from K survivor outputs.
 
     Each output component is a degree-(K-1) polynomial of the grid
-    coordinate; its coefficients are interpolated through the K survivor
-    columns of the chosen generator (one factorization for all components)
-    and then evaluated at the anchor columns.  Returns an (m, out_dim)
-    array of estimates.
+    coordinate, interpolated through the K survivor columns G_R of the
+    chosen generator and evaluated at the anchor columns.  Both steps fold
+    into one solve, W = G_R^{-1} @ anchors (K x m), the same fusion
+    weights the harness replay computes; the estimates are W^T @ outputs.
+    Returns an (m, out_dim) array of estimates.
     """
-    surv = check_survivors(config, survivors)
+    surv = check_survivors(survivors, config.threshold, config.workers)
     outs = as_matrix(outputs)
     if outs.shape != (config.threshold, f.out_dim):
         raise ValueError(
@@ -178,7 +167,4 @@ def lagrange_decode(
     outs = outs[order]
 
     gen = decode_generator(config, basis)
-    sub = gen[:, np.asarray(surv, dtype=np.int64) - 1]
-    anchor_block = gen[:, : config.m]
-    coeffs = lu_solve(lu_factor(sub.T), outs)  # (K, out_dim), one column per component
-    return (coeffs.T @ anchor_block).T
+    return solve(gen[:, np.asarray(surv, dtype=np.int64) - 1], gen[:, : config.m]).T @ outs

@@ -1,11 +1,10 @@
-"""Dense float64 linear algebra: products, LU solves with partial
-pivoting, spectral/Frobenius condition numbers of single matrices or
-stacks (both from one batched LAPACK SVD), and a seeded counter-based
-Gaussian source.
+"""Dense float64 linear algebra: products, partial-pivot solves,
+spectral/Frobenius condition numbers (both from one batched LAPACK SVD)
+and a seeded counter-based Gaussian source.
 
-Matrices are plain 2-D float64 ndarrays (``cond`` also takes stacks of
-them), validated finite at the public entry points and treated as
-immutable once built.  ``Rng`` is the only stateful object here; it is
+Matrices are plain 2-D float64 ndarrays (``solve`` and ``cond`` also take
+stacks of them), validated finite at the public entry points and treated
+as immutable once built.  ``Rng`` is the only stateful object here; it is
 single-owner, and independent child streams come from :meth:`Rng.spawn`.
 """
 
@@ -20,8 +19,6 @@ __all__ = [
     "SINGULAR_PIVOT_RTOL",
     "as_matrix",
     "matmul",
-    "lu_factor",
-    "lu_solve",
     "solve",
     "invert",
     "cond",
@@ -35,7 +32,7 @@ SINGULAR_PIVOT_RTOL = 1e-14
 
 
 class SingularMatrixError(ValueError):
-    """Raised when LU elimination meets a pivot too small to trust."""
+    """Raised when Gaussian elimination meets a pivot too small to trust."""
 
     def __init__(self, pivot_index: int, pivot: float, scale: float):
         self.pivot_index = pivot_index
@@ -64,63 +61,78 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
-    """LU factorization with partial (row) pivoting.
-
-    Returns (lu, perm) where lu packs the unit-lower and upper factors and
-    perm is the row order applied to the input, i.e. a[perm] = L @ U.
-    """
-    a = as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    lu = a.copy()
-    perm = np.arange(n)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        raise SingularMatrixError(0, 0.0, 0.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = lu[p, k]
-        if abs(pivot) < SINGULAR_PIVOT_RTOL * scale:
-            raise SingularMatrixError(k, float(pivot), scale)
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= pivot
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
-
-
-def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
-    """Solve a @ x = rhs given ``factors`` from :func:`lu_factor`."""
-    lu, perm = factors
-    n = lu.shape[0]
-    b = np.asarray(rhs, dtype=np.float64)
-    vector = b.ndim == 1
-    if vector:
-        b = b[:, None]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {n}")
-    x = b[perm].copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] /= lu[k, k]
-    return x[:, 0] if vector else x
-
-
 def solve(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs by LU with partial pivoting."""
-    a = as_matrix(a)
-    rhs_arr = np.asarray(rhs, dtype=np.float64)
-    rows = rhs_arr.shape[0] if rhs_arr.ndim else -1
-    if rhs_arr.ndim not in (1, 2) or rows != a.shape[0]:
-        raise ValueError(f"rhs shape {rhs_arr.shape} does not match matrix {a.shape}")
-    return lu_solve(lu_factor(a), rhs_arr)
+    """Solve a @ x = rhs by Gaussian elimination with partial pivoting.
+
+    ``a`` is one k x k matrix with a (k,) or (k, q) right-hand side, or a
+    ``(count, k, k)`` stack with a ``(count, k, q)`` right-hand side.  Every
+    lane is eliminated on its own, so a matrix solved alone gives the same
+    bits as inside a stack.  A lane is singular when a pivot falls below
+    SINGULAR_PIVOT_RTOL * ||a||_F (an all-zero matrix always is): a single
+    matrix raises SingularMatrixError at the first such elimination step,
+    a singular stack lane reads NaN.
+    """
+    stacks = np.array(a, dtype=np.float64, order="C")  # copies: eliminated in place
+    del a  # a temporary stack passed in is freed before the elimination
+    x = np.array(rhs, dtype=np.float64, order="C")
+    shapes = f"{stacks.shape} and {x.shape}"
+    single, vector = stacks.ndim == 2, x.ndim == 1
+    if single:
+        stacks, x = stacks[None], x[None, :, None] if vector else x[None]
+    if (
+        stacks.ndim != 3
+        or stacks.shape[1] != stacks.shape[2]
+        or stacks.shape[1] == 0
+        or x.ndim != 3
+        or x.shape[:2] != stacks.shape[:2]
+    ):
+        raise ValueError(
+            f"need a k x k matrix or a (count, k, k) stack with a matching right-hand "
+            f"side, got shapes {shapes}"
+        )
+    count, k = stacks.shape[:2]
+    scale = np.linalg.norm(stacks.reshape(count, -1), axis=1)
+    # a finite norm implies finite entries; only a non-finite one needs the full scan
+    if not np.isfinite(scale).all() and not np.isfinite(stacks).all():
+        raise ValueError("matrix entries must be finite")
+    pivots = np.empty((k, count))  # the pivot each lane chose at each step
+    passed = np.empty((k, count), dtype=bool)  # whether it met the threshold
+    rows = np.arange(count)
+    with np.errstate(all="ignore"):
+        for col in range(k):
+            piv_idx = col + np.argmax(np.abs(stacks[:, col:, col]), axis=1)
+            pivots[col] = stacks[rows, piv_idx, col]
+            passed[col] = np.abs(pivots[col]) >= SINGULAR_PIVOT_RTOL * scale
+            swap = stacks[rows, col, :].copy()
+            stacks[rows, col, :] = stacks[rows, piv_idx, :]
+            stacks[rows, piv_idx, :] = swap
+            swap = x[rows, col, :].copy()
+            x[rows, col, :] = x[rows, piv_idx, :]
+            x[rows, piv_idx, :] = swap
+            pivot = stacks[:, col, col]
+            pivot = np.where(np.abs(pivot) > 0.0, pivot, 1.0)  # poisoned lanes discarded later
+            if col + 1 < k:
+                factors = stacks[:, col + 1 :, col] / pivot[:, None]
+                stacks[:, col + 1 :, col + 1 :] -= (
+                    factors[:, :, None] * stacks[:, col, None, col + 1 :]
+                )
+                x[:, col + 1 :, :] -= factors[:, :, None] * x[:, col, None, :]
+        for col in range(k - 1, -1, -1):
+            if col + 1 < k:
+                x[:, col, :] -= np.matmul(stacks[:, None, col, col + 1 :], x[:, col + 1 :, :])[
+                    :, 0, :
+                ]
+            x[:, col, :] /= np.where(
+                np.abs(stacks[:, col, col]) > 0.0, stacks[:, col, col], 1.0
+            )[:, None]
+    ok = (scale > 0.0) & passed.all(axis=0)
+    if single:
+        if not ok[0]:
+            step = int(np.argmin(passed[:, 0]))  # the first failed step; 0 for a zero matrix
+            raise SingularMatrixError(step, float(pivots[step, 0]), float(scale[0]))
+        return x[0, :, 0] if vector else x[0]
+    x[~ok] = np.nan
+    return x
 
 
 def invert(a) -> np.ndarray:

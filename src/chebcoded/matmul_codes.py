@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator
-from .linalg import as_matrix, lu_factor, lu_solve, matmul, invert
+from .cheb_vandermonde import build_generator, check_survivors
+from .linalg import as_matrix, invert, matmul, solve
 from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "decode_operator",
     "truth_block_table",
     "assemble_blocks",
-    "check_survivors",
     "gen_encoding_exponents",
     "output_coefficient_index",
 ]
@@ -334,19 +333,6 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
     return DecodeOperator(threshold=k, generator=gen, recovery=rec)
 
 
-def check_survivors(config: SchemeConfig, survivors) -> tuple[int, ...]:
-    """Validate and canonically sort a survivor index set."""
-    surv = tuple(sorted(int(s) for s in survivors))
-    k = recovery_threshold(config)
-    if len(surv) != k:
-        raise ValueError(f"decoder needs exactly {k} survivors, got {len(surv)}")
-    if len(set(surv)) != len(surv):
-        raise ValueError(f"survivor indices must be distinct, got {surv}")
-    if surv and (surv[0] < 1 or surv[-1] > config.workers):
-        raise ValueError(f"survivor indices {surv} out of range [1, {config.workers}]")
-    return surv
-
-
 def _block_grid(config: SchemeConfig) -> tuple[int, int]:
     """Output block grid (rows, cols); block (i, j) sits at column j*rows + i
     of the recovery map."""
@@ -387,21 +373,20 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     """Recover the full product from threshold-many worker outputs.
 
     Survivor/output pairs are sorted canonically first, so any input
-    ordering produces a bitwise identical result.  One LU factorization of
-    the survivor submatrix is shared by every output entry: coefficients
-    are interpolated per entry, mapped to block values by the family's
-    recovery map, and assembled into the N1 x N3 product.
+    ordering produces a bitwise identical result.  The family's recovery
+    map is folded into one solve against the survivor submatrix G_R,
+    W = G_R^{-1} @ recovery (K x q); every output entry's block values
+    are then its survivor evaluations times W, one GEMM for the whole
+    product, assembled into the N1 x N3 product.
     """
-    surv = check_survivors(config, survivors)
+    surv = check_survivors(survivors, recovery_threshold(config), config.workers)
     by_index = {int(o.worker_index): o for o in outputs}
     if len(by_index) != len(outputs) or set(by_index) != set(surv):
         raise ValueError("outputs must carry exactly one result per survivor index")
     ordered = [by_index[s] for s in surv]
     block_shape = ordered[0].product.shape
-    evals = np.stack([as_matrix(o.product).ravel() for o in ordered], axis=1)
+    evals = np.stack([as_matrix(o.product).ravel() for o in ordered])  # (K, entries)
 
     op = decode_operator(config)
-    sub = op.generator[:, np.asarray(surv, dtype=np.int64) - 1]
-    coeffs = lu_solve(lu_factor(sub.T), evals.T).T
-    blocks = coeffs @ op.recovery
-    return assemble_blocks(config, blocks, block_shape)
+    weights = solve(op.generator[:, np.asarray(surv, dtype=np.int64) - 1], op.recovery)
+    return assemble_blocks(config, (weights.T @ evals).T, block_shape)

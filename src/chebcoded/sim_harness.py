@@ -2,11 +2,13 @@
 
 A trial encodes once, computes all P worker outputs once, and then
 replays erasure patterns: each survivor subset costs one solve against
-the survivor submatrix of the decode generator.  Per-subset errors are
-evaluated through the same linear fusion map the full decoder applies
-(coefficients -> recovery map), folded into a single solve per subset;
-the full per-entry decode and this folded form differ only in float
-rounding order.
+the survivor submatrix of the decode generator.  The fusion weights
+W_R = G_R^{-1} @ recovery come from the same :func:`chebcoded.linalg.solve`
+call the library decoders make, so they are bitwise those of
+:func:`chebcoded.matmul_codes.decode` and
+:func:`chebcoded.lagrange_codes.lagrange_decode`; only the estimate GEMM
+differs in shape (one product per chunk of subsets instead of one per
+decode).
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values and the
 CSV/JSON emitters render them byte-deterministically.
@@ -23,8 +25,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import lagrange_codes, matmul_codes
-from .cheb_vandermonde import iter_column_subsets, sample_column_subsets, subset_cond_stats
-from .linalg import SINGULAR_PIVOT_RTOL, Rng, as_matrix, gaussian_matrix, matmul
+from .cheb_vandermonde import (
+    EXHAUSTIVE_SUBSET_LIMIT,
+    BudgetExceededError,
+    check_survivors,
+    iter_column_subsets,
+    sample_column_subsets,
+    subset_cond_stats,
+)
+from .linalg import Rng, as_matrix, gaussian_matrix, matmul, solve
 from .poly_basis import cheb_grid
 
 __all__ = [
@@ -54,9 +63,6 @@ METRICS = ("cond_worst", "cond_avg", "relerr_worst", "relerr_avg")
 
 COND_SCHEMES = ("chebyshev", "monomial", "chebyshev_normalized")
 LAGRANGE_SCHEMES = ("lagrange_chebyshev", "lagrange_monomial")
-
-# Exhaustive subset replay above this count is refused (sample instead).
-SUBSET_BUDGET = 10**6
 
 # Subsets are replayed in chunks whose working set stays under this many floats.
 REPLAY_CHUNK_FLOATS = 6_000_000
@@ -120,18 +126,13 @@ def relative_error(truth, estimate) -> float:
 def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> list[tuple[int, ...]]:
     """Materialize the subset list for a fault model, in replay order."""
     if fault.mode == "fixed":
-        subset = tuple(sorted(int(s) for s in fault.subset))
-        if len(subset) != threshold or len(set(subset)) != len(subset):
-            raise ValueError(f"fixed fault needs {threshold} distinct survivors, got {subset}")
-        if subset[0] < 1 or subset[-1] > workers:
-            raise ValueError(f"fixed fault survivors {subset} out of range [1, {workers}]")
-        return [subset]
+        return [check_survivors(fault.subset, threshold, workers)]
     if fault.mode == "random":
         return sample_column_subsets(workers, threshold, fault.samples, Rng(fault.seed or 0))
     total = math.comb(workers, threshold)
-    if total > SUBSET_BUDGET:
-        raise ValueError(
-            f"{total} survivor subsets exceed the exhaustive budget {SUBSET_BUDGET}; "
+    if total > EXHAUSTIVE_SUBSET_LIMIT:
+        raise BudgetExceededError(
+            f"{total} survivor subsets exceed the exhaustive budget {EXHAUSTIVE_SUBSET_LIMIT}; "
             f"use a random fault model"
         )
     return list(iter_column_subsets(workers, threshold))
@@ -141,13 +142,13 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets):
     """Per-subset relative errors of the folded fusion map.
 
     For survivors R the estimate of every output entry is its eval row
-    times G_R^{-1} @ recovery; the survivor weights are scattered back so
-    the precomputed eval table can be reused unchanged.  Subsets are
-    solved in vectorized chunks: one Gaussian elimination with partial
-    pivoting runs across the whole chunk, with the same pivot threshold
-    as :func:`chebcoded.linalg.lu_factor`; lanes that fail it (or overflow
-    outright) report the infinity sentinel.  Every lane is computed on
-    its own, so results do not depend on the chunk size.
+    times the weights W_R = G_R^{-1} @ recovery; the weights are scattered
+    back so the precomputed eval table can be reused unchanged.  Subsets
+    are replayed in chunks: one stacked :func:`chebcoded.linalg.solve`
+    gives the weights of the whole chunk and one GEMM its estimates.
+    Singular lanes (NaN weights) and overflowing ones report the infinity
+    sentinel.  Every lane is computed on its own, so results do not depend
+    on the chunk size.
     """
     workers = generator.shape[1]
     k, q = recovery.shape
@@ -167,48 +168,19 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets):
 
 
 def _replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, sel):
-    count, k = sel.shape
-    workers = generator.shape[1]
-    q = recovery.shape[1]
-    # [s, i, j] = generator[i, sel[s, j]], i.e. the survivor submatrix G_R
-    stacks = generator.T[sel].transpose(0, 2, 1).copy()
-    x = np.repeat(recovery[None, :, :], count, axis=0)
-    scale = np.linalg.norm(stacks.reshape(count, -1), axis=1)
-    ok = scale > 0.0
-    rows = np.arange(count)
-    with np.errstate(all="ignore"):
-        for col in range(k):
-            piv_idx = col + np.argmax(np.abs(stacks[:, col:, col]), axis=1)
-            piv_val = stacks[rows, piv_idx, col]
-            ok &= np.abs(piv_val) >= SINGULAR_PIVOT_RTOL * scale
-            swap = stacks[rows, col, :].copy()
-            stacks[rows, col, :] = stacks[rows, piv_idx, :]
-            stacks[rows, piv_idx, :] = swap
-            swap = x[rows, col, :].copy()
-            x[rows, col, :] = x[rows, piv_idx, :]
-            x[rows, piv_idx, :] = swap
-            pivot = stacks[:, col, col]
-            pivot = np.where(np.abs(pivot) > 0.0, pivot, 1.0)  # poisoned lanes discarded later
-            if col + 1 < k:
-                factors = stacks[:, col + 1 :, col] / pivot[:, None]
-                stacks[:, col + 1 :, col + 1 :] -= (
-                    factors[:, :, None] * stacks[:, col, None, col + 1 :]
-                )
-                x[:, col + 1 :, :] -= factors[:, :, None] * x[:, col, None, :]
-        for col in range(k - 1, -1, -1):
-            if col + 1 < k:
-                x[:, col, :] -= np.matmul(stacks[:, None, col, col + 1 :], x[:, col + 1 :, :])[
-                    :, 0, :
-                ]
-            x[:, col, :] /= np.where(
-                np.abs(stacks[:, col, col]) > 0.0, stacks[:, col, col], 1.0
-            )[:, None]
-        scattered = np.zeros((count, workers, q))
-        scattered[rows[:, None], sel, :] = x
+    count = len(sel)
+    # [s, i, j] = generator[i, sel[s, j]], i.e. the survivor submatrix G_R;
+    # passed as a temporary so that solve can free it once copied
+    weights = solve(
+        generator.T[sel].transpose(0, 2, 1), np.broadcast_to(recovery, (count,) + recovery.shape)
+    )
+    scattered = np.zeros((count, generator.shape[1], recovery.shape[1]))
+    scattered[np.arange(count)[:, None], sel, :] = weights
+    with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
         estimates = np.matmul(all_evals[None, :, :], scattered)
         diffs = (estimates - truth_blocks[None, :, :]).reshape(count, -1)
         errs = np.linalg.norm(diffs, axis=1) / truth_norm
-    return np.where(ok & np.isfinite(errs), errs, np.inf)
+    return np.where(np.isfinite(errs), errs, np.inf)
 
 
 def _reduce_errors(errors, subsets) -> TrialResult:
@@ -498,9 +470,10 @@ def _run_cond_row(row: dict) -> list[ExperimentRecord]:
     workers = int(row["P"])
     delta = int(row["delta"])
     rows_k = int(row.get("rows", workers - delta))
-    norm = {"l2": "spectral", "spectral": "spectral", "frobenius": "frobenius"}[
-        row.get("norm", "l2")
-    ]
+    norms = {"l2": "spectral", "spectral": "spectral", "frobenius": "frobenius"}
+    if row.get("norm", "l2") not in norms:
+        raise ValueError(f"unknown norm {row['norm']!r}, expected one of {tuple(norms)}")
+    norm = norms[row.get("norm", "l2")]
     seed = int(row["seeds"][0]) if row.get("seeds") else 0
     fault = _row_fault(row, seed)
     points = cheb_grid(workers).points
@@ -565,10 +538,16 @@ def sweep(plan) -> list[ExperimentRecord]:
                         n2=0,
                         n3=0,
                         subset_mode="error",
-                        error=str(exc).replace(",", ";").replace("\n", " "),
+                        error=_error_text(exc),
                     )
                 )
     return records
+
+
+def _error_text(exc: Exception) -> str:
+    """One CSV-safe line; a KeyError names a plan key the row lacks."""
+    text = f"missing plan key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return text.replace(",", ";").replace("\n", " ")
 
 
 def _row_metrics_safe(row) -> list[str]:

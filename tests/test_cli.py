@@ -146,6 +146,28 @@ class TestSweepCommand:
         assert len(records) == 2
         assert records[0]["P"] == 7 and records[0]["subset_mode"] == "exhaustive"
 
+    def test_errored_row_exits_1_and_names_the_missing_key(self, capsys, tmp_path):
+        plan = [
+            {
+                "scheme": "orthopoly",
+                "P": 7,
+                "delta": 3,
+                "m": 2,  # no "n"
+                "dims": [8, 8, 8],
+                "metrics": ["relerr_worst"],
+                "fault": {"mode": "exhaustive"},
+                "seeds": [0],
+            }
+        ]
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, out, _ = run_cli(capsys, "sweep", "--plan", str(plan_path))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].endswith(",error,missing plan key 'n'")
+        assert lines[-1] == "error=missing plan key 'n'"
+
     def test_missing_plan_file(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--plan", "/nonexistent/plan.json")
         assert code == 2 and "usage error" in err

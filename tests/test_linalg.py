@@ -13,7 +13,6 @@ from chebcoded.linalg import (
     cond,
     gaussian_matrix,
     invert,
-    lu_factor,
     matmul,
     solve,
 )
@@ -70,8 +69,16 @@ class TestSolve:
         assert info.value.pivot_index == 1
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(SingularMatrixError):
-            lu_factor(np.zeros((3, 3)))
+        with pytest.raises(SingularMatrixError) as info:
+            solve(np.zeros((3, 3)), np.ones(3))
+        assert info.value.pivot_index == 0
+
+    def test_reports_the_first_failing_step(self):
+        # steps 1 and 3 meet zero pivots, step 2 does not
+        a = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+        with pytest.raises(SingularMatrixError) as info:
+            solve(a, np.ones(4))
+        assert info.value.pivot_index == 1 and info.value.pivot == 0.0
 
     def test_vector_rhs(self):
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
@@ -86,6 +93,59 @@ class TestSolve:
             x = solve(a, rhs)
             resid = np.linalg.norm(a @ x - rhs)
             assert resid <= 1e-8 * (1.0 + np.linalg.norm(rhs))
+
+
+class TestSolveStack:
+    """The stacked path: (count, k, k) matrices against (count, k, q) sides."""
+
+    @pytest.mark.parametrize("k, q", [(1, 1), (5, 1), (17, 3), (40, 2)])
+    def test_single_matrix_equals_its_stack_lane_bitwise(self, k, q):
+        rng = Rng(31 + k)
+        stack = np.stack([gaussian_matrix(rng, k, k) for _ in range(6)])
+        rhs = np.stack([gaussian_matrix(rng, k, q) for _ in range(6)])
+        got = solve(stack, rhs)
+        assert got.shape == (6, k, q)
+        for lane in range(6):
+            assert np.array_equal(solve(stack[lane], rhs[lane]), got[lane])
+        column = solve(stack, rhs[:, :, :1])  # same width as a vector right-hand side
+        assert np.array_equal(solve(stack[2], rhs[2, :, 0]), column[2, :, 0])
+
+    def test_singular_lane_is_nan_and_leaves_neighbours_unchanged(self):
+        rng = Rng(8)
+        good = np.stack([gaussian_matrix(rng, 7, 7) for _ in range(2)])
+        rhs = np.stack([gaussian_matrix(rng, 7, 2) for _ in range(4)])
+        stack = np.stack([good[0], np.ones((7, 7)), good[1], np.zeros((7, 7))])
+        got = solve(stack, rhs)
+        assert np.isnan(got[1]).all() and np.isnan(got[3]).all()
+        alone = solve(good, rhs[[0, 2]])
+        assert np.array_equal(got[0], alone[0]) and np.array_equal(got[2], alone[1])
+
+    def test_inputs_are_not_modified(self):
+        rng = Rng(3)
+        stack = np.stack([gaussian_matrix(rng, 4, 4) for _ in range(3)])
+        rhs = np.stack([gaussian_matrix(rng, 4, 2) for _ in range(3)])
+        before = (stack.copy(), rhs.copy())
+        solve(stack, rhs)
+        solve(stack[0], rhs[0])
+        assert np.array_equal(stack, before[0]) and np.array_equal(rhs, before[1])
+
+    def test_stack_residual(self):
+        rng = Rng(5)
+        stack = np.stack([gaussian_matrix(rng, 9, 9) + 18.0 * np.eye(9) for _ in range(3)])
+        rhs = np.stack([gaussian_matrix(rng, 9, 4) for _ in range(3)])
+        assert np.linalg.norm(stack @ solve(stack, rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_rejects_mismatched_shapes_and_non_finite(self):
+        with pytest.raises(ValueError):
+            solve(np.ones((2, 3, 3)), np.ones((3, 1)))
+        with pytest.raises(ValueError):
+            solve(np.ones((2, 3, 3)), np.ones((1, 3, 1)))
+        with pytest.raises(ValueError):
+            solve(np.ones((3, 2)), np.ones(3))
+        with pytest.raises(ValueError):
+            solve(np.ones((0, 0)), np.ones(0))
+        with pytest.raises(ValueError):
+            solve(np.array([[[1.0, np.nan], [0.0, 1.0]]]), np.ones((1, 2, 1)))
 
 
 class TestInvert:

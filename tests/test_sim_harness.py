@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chebcoded import sim_harness
+from chebcoded import lagrange_codes, linalg, matmul_codes, sim_harness
+from chebcoded.cheb_vandermonde import BudgetExceededError
 from chebcoded.linalg import Rng, gaussian_matrix, matmul
 from chebcoded.matmul_codes import decode, encode, scheme_config, worker_compute
 from chebcoded.sim_harness import (
@@ -68,6 +69,20 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             survivor_subsets(FaultModel(mode="exhaustive"), 200, 196)
 
+    def test_exhaustive_budget_is_the_shared_limit(self):
+        with pytest.raises(BudgetExceededError, match="1313400 survivor subsets"):
+            survivor_subsets(FaultModel(mode="exhaustive"), 200, 197)
+        assert len(survivor_subsets(FaultModel(mode="exhaustive"), 7, 3)) == 35
+
+    def test_fixed_survivors_validated(self):
+        assert survivor_subsets(FaultModel(mode="fixed", subset=(7, 2, 4)), 7, 3) == [(2, 4, 7)]
+        with pytest.raises(ValueError, match="exactly 3 survivors"):
+            survivor_subsets(FaultModel(mode="fixed", subset=(2, 4)), 7, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            survivor_subsets(FaultModel(mode="fixed", subset=(2, 4, 8)), 7, 3)
+        with pytest.raises(ValueError):
+            survivor_subsets(FaultModel(mode="fixed", subset=(2, 2, 4)), 7, 3)
+
 
 class TestRunTrial:
     def setup_method(self):
@@ -101,7 +116,8 @@ class TestRunTrial:
         outputs = [worker_compute(s) for s in encode(self.config, self.a, self.b)]
         direct = decode(self.config, survivors, [outputs[i - 1] for i in survivors])
         full = relative_error(matmul(self.a, self.b), direct)
-        # the trial folds the fusion map into one solve; only rounding differs
+        # same fusion weights (see the bitwise test below); only the estimate
+        # GEMM differs in shape, so the errors agree to rounding
         assert trial.worst == pytest.approx(full, abs=1e-12)
         assert trial.worst_subset == survivors
 
@@ -119,6 +135,30 @@ class TestRunTrial:
         assert one.worst == many.worst
         assert one.average == many.average
         assert one.worst_subset == many.worst_subset
+
+    @pytest.mark.parametrize(
+        "family, workers, splits",
+        [("orthomatdot", 7, {"m": 2}), ("orthopoly", 7, {"m": 2, "n": 2})],
+    )
+    def test_decode_weights_equal_replay_weights_bitwise(self, monkeypatch, family, workers, splits):
+        config = scheme_config(family, workers, **splits)
+        weights = []
+
+        def recording_solve(a, rhs):
+            weights.append(linalg.solve(a, rhs))
+            return weights[-1]
+
+        monkeypatch.setattr(sim_harness, "solve", recording_solve)
+        monkeypatch.setattr(matmul_codes, "solve", recording_solve)
+        fault = FaultModel(mode="exhaustive")
+        run_trial(config, self.a, self.b, fault)
+        (chunk,) = weights  # every subset in one stacked solve
+        subsets = survivor_subsets(fault, workers, matmul_codes.recovery_threshold(config))
+        outputs = [worker_compute(s) for s in encode(config, self.a, self.b)]
+        for pos in (0, len(subsets) // 2, len(subsets) - 1):
+            weights.clear()
+            decode(config, subsets[pos], [outputs[i - 1] for i in subsets[pos]])
+            assert np.array_equal(weights[0], chunk[pos])
 
     def test_singular_decode_contributes_infinity(self):
         # duplicate-free but near-coincident points make the monomial
@@ -140,6 +180,27 @@ class TestLagrangeTrial:
         trial = run_lagrange_trial(cfg, f, data, FaultModel(mode="exhaustive"))
         assert trial.worst <= 1e-8
         assert trial.worst >= trial.average
+
+    def test_decode_weights_equal_replay_weights_bitwise(self, monkeypatch):
+        cfg = lagrange_codes.LagrangeConfig(m=4, workers=7, dim=3, deg_f=1)
+        rng = Rng(6)
+        data = gaussian_matrix(rng, 4, 3)
+        f = lagrange_codes.linear_map(rng.normals(3))
+        weights = []
+
+        def recording_solve(a, rhs):
+            weights.append(linalg.solve(a, rhs))
+            return weights[-1]
+
+        monkeypatch.setattr(sim_harness, "solve", recording_solve)
+        monkeypatch.setattr(lagrange_codes, "solve", recording_solve)
+        run_lagrange_trial(cfg, f, data, FaultModel(mode="exhaustive"))
+        (chunk,) = weights
+        outs = lagrange_codes.worker_outputs(cfg, f, lagrange_codes.lagrange_encode(cfg, data))
+        for pos, subset in enumerate(survivor_subsets(FaultModel(mode="exhaustive"), 7, 4)):
+            weights.clear()
+            lagrange_codes.lagrange_decode(cfg, f, subset, outs[np.asarray(subset) - 1])
+            assert np.array_equal(weights[0], chunk[pos])
 
 
 class TestRecordsSerialization:
@@ -227,6 +288,14 @@ class TestSweep:
         assert len(records) == 2
         assert records[0].error != "" and records[0].subset_mode == "error"
         assert records[1].error == "" and records[1].value <= 1e-9
+
+    def test_error_column_names_missing_key_and_unknown_norm(self):
+        base = {"P": 7, "delta": 3, "metrics": ["cond_worst"], "seeds": [0]}
+        missing, bad_norm = sweep(
+            [dict(base, scheme="orthopoly", m=2), dict(base, scheme="chebyshev", norm="l1")]
+        )
+        assert missing.error == "missing plan key 'n'"
+        assert bad_norm.error.startswith("unknown norm 'l1'")
 
     def test_lagrange_plan_runs(self):
         plan = lagrange_stability_plan(workers=(10,), samples=5, seed=0)
