@@ -55,6 +55,10 @@ FAMILIES = ("matdot", "orthomatdot", "polynomial", "orthopoly", "gen_orthomatdot
 _INNER = ("matdot", "orthomatdot")
 _OUTER = ("polynomial", "orthopoly")
 
+# Output entries per decode GEMM: the survivor products are stacked one
+# row range at a time, so no K x entries copy of all of them is made.
+_DECODE_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -376,8 +380,9 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     ordering produces a bitwise identical result.  The family's recovery
     map is folded into one solve against the survivor submatrix G_R,
     W = G_R^{-1} @ recovery (K x q); every output entry's block values
-    are then its survivor evaluations times W, one GEMM for the whole
-    product, assembled into the N1 x N3 product.
+    are then its survivor evaluations times W, one GEMM per range of
+    _DECODE_CHUNK entries (no K x entries copy of the whole product), and
+    assembled into the N1 x N3 product.
     """
     surv = check_survivors(survivors, recovery_threshold(config), config.workers)
     by_index = {int(o.worker_index): o for o in outputs}
@@ -385,8 +390,12 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
         raise ValueError("outputs must carry exactly one result per survivor index")
     ordered = [by_index[s] for s in surv]
     block_shape = ordered[0].product.shape
-    evals = np.stack([as_matrix(o.product).ravel() for o in ordered])  # (K, entries)
+    flat = [as_matrix(o.product).ravel() for o in ordered]
 
     op = decode_operator(config)
     weights = solve(op.generator[:, np.asarray(surv, dtype=np.int64) - 1], op.recovery)
-    return assemble_blocks(config, (weights.T @ evals).T, block_shape)
+    blocks = np.empty((weights.shape[1], flat[0].size))  # (q, entries)
+    for lo in range(0, flat[0].size, _DECODE_CHUNK):
+        hi = lo + _DECODE_CHUNK
+        blocks[:, lo:hi] = weights.T @ np.stack([p[lo:hi] for p in flat])
+    return assemble_blocks(config, blocks.T, block_shape)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import lagrange_codes, matmul_codes, sim_harness
 from .cheb_vandermonde import build_generator, subset_cond_stats, theorem_bound_value
-from .linalg import Rng, cond, gaussian_matrix, invert, matmul
+from .linalg import SOLVE_BLOCK, Rng, cond, gaussian_matrix, invert, matmul, solve
 from .poly_basis import cheb_T, cheb_grid, quad_rule, trig_lemma_check
 
 __all__ = ["run_all", "CHECKS"]
@@ -74,6 +74,16 @@ def _check_linalg():
         assert cond(a, "spectral") <= cond(a, "frobenius") * (1 + 1e-9)
     stack = np.stack([np.diag([3.0, -2.0, 0.5]), np.eye(3), np.zeros((3, 3))])
     assert np.allclose(cond(stack, "spectral"), [6.0, 1.0, np.inf], rtol=1e-12)
+    # k crosses two panel boundaries of the blocked LU; with the rows
+    # reversed, every pivot row is swapped in from below its panel
+    k = 2 * SOLVE_BLOCK + 3
+    stack = np.stack([(gaussian_matrix(rng, k, k) + k * np.eye(k))[::-1] for _ in range(3)])
+    stack[1, :, -1] = stack[1, :, 0]  # one singular lane
+    rhs = np.stack([gaussian_matrix(rng, k, 2) for _ in range(3)])
+    x = solve(stack, rhs)
+    assert np.isnan(x[1]).all(), "singular stack lane does not read NaN"
+    resid = np.linalg.norm(stack[[0, 2]] @ x[[0, 2]] - rhs[[0, 2]])
+    assert resid <= 1e-12 * np.linalg.norm(rhs), f"stacked solve residual {resid}"
     sample = Rng(5).normals(100000)
     assert abs(sample.mean()) < 0.02 and abs(sample.var() - 1.0) < 0.05
 

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from chebcoded.cheb_vandermonde import build_generator, sample_column_subsets
 from chebcoded.linalg import (
+    SOLVE_BLOCK,
     Rng,
     SingularMatrixError,
     cond,
@@ -98,7 +99,21 @@ class TestSolve:
 class TestSolveStack:
     """The stacked path: (count, k, k) matrices against (count, k, q) sides."""
 
-    @pytest.mark.parametrize("k, q", [(1, 1), (5, 1), (17, 3), (40, 2)])
+    @pytest.mark.parametrize(
+        "k, q",
+        [
+            (1, 1),
+            (5, 1),
+            (17, 3),
+            (40, 2),
+            # the panel boundaries of the blocked LU, and the Lagrange shape q ~ k
+            (SOLVE_BLOCK - 1, 2),
+            (SOLVE_BLOCK, 1),
+            (SOLVE_BLOCK + 1, 3),
+            (2 * SOLVE_BLOCK + 3, 2),
+            (2 * SOLVE_BLOCK + 3, 2 * SOLVE_BLOCK + 4),
+        ],
+    )
     def test_single_matrix_equals_its_stack_lane_bitwise(self, k, q):
         rng = Rng(31 + k)
         stack = np.stack([gaussian_matrix(rng, k, k) for _ in range(6)])
@@ -146,6 +161,68 @@ class TestSolveStack:
             solve(np.ones((0, 0)), np.ones(0))
         with pytest.raises(ValueError):
             solve(np.array([[[1.0, np.nan], [0.0, 1.0]]]), np.ones((1, 2, 1)))
+
+
+class TestSolveBlocked:
+    """Panels of SOLVE_BLOCK columns: pivots found inside a later panel,
+    rows swapped in from below the panel, and agreement with LAPACK."""
+
+    def test_first_failing_pivot_in_the_third_panel(self):
+        # a row-shuffled upper triangular matrix eliminates exactly; its one
+        # zero diagonal entry makes the pivot at that step exactly zero
+        k, step = 3 * SOLVE_BLOCK + 2, 2 * SOLVE_BLOCK + 3
+        rng = Rng(41)
+        upper = np.triu(gaussian_matrix(rng, k, k)) + 2.0 * np.eye(k)
+        upper[step, step] = 0.0
+        shuffled = upper[np.argsort(rng.uniforms(k))]
+        with pytest.raises(SingularMatrixError) as info:
+            solve(shuffled, np.ones(k))
+        assert info.value.pivot_index == step and info.value.pivot == 0.0
+        lanes = solve(np.stack([shuffled, upper]), np.ones((2, k, 1)))
+        assert np.isnan(lanes).all()
+
+    def test_rows_swapped_in_from_below_the_panel(self):
+        # column diagonal dominance puts every pivot on the diagonal of m;
+        # reversing the rows moves each pivot row far below its panel
+        k = 2 * SOLVE_BLOCK + 3
+        rng = Rng(43)
+        m = gaussian_matrix(rng, k, k) + 4.0 * k * np.eye(k)
+        a = m[::-1]
+        rhs = gaussian_matrix(rng, k, 3)
+        got = solve(a, rhs)
+        ref = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("points, q", [(80, 1), (101, 99)])
+    def test_matches_lapack_on_chebyshev_grid_submatrices(self, points, q):
+        stack = _grid_submatrices("chebyshev", points)  # k = points - 3
+        count, k = stack.shape[:2]
+        rhs = np.stack([gaussian_matrix(Rng(q + lane), k, q) for lane in range(count)])
+        got = solve(stack, rhs)
+        ref = np.linalg.solve(stack, rhs)
+        eps = np.finfo(np.float64).eps
+        for lane in range(count):
+            err = np.linalg.norm(got[lane] - ref[lane]) / np.linalg.norm(ref[lane])
+            assert err <= 10.0 * eps * cond(stack[lane])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e-200, 1e-170, 1e200, 1e308])
+    def test_singularity_rule_is_scale_invariant(self, s):
+        # ||a||_F overflows at 1e200 and underflows at 1e-170 and below;
+        # at 1e308 even max|a| * ||a / max|a|||_F overflows for k >= 4
+        def close(got, want):
+            return got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+        assert close(solve(np.eye(2) * s, np.ones(2)), np.ones(2) / s)
+        assert close(solve(np.eye(4) * s, np.ones(4)), np.ones(4) / s)
+        stack = np.stack([np.eye(2) * s, np.ones((2, 2)) * s, np.diag([1.0, 1e-13]) * s])
+        got = solve(stack, np.ones((3, 2, 1)))
+        assert close(got[0, :, 0], np.ones(2) / s)
+        assert np.isnan(got[1]).all()
+        assert close(got[2, :, 0], np.array([1.0, 1e13]) / s)
+        with pytest.raises(SingularMatrixError) as info:
+            solve(np.diag([1.0, 1e-15]) * s, np.ones(2))
+        assert info.value.pivot_index == 1
 
 
 class TestInvert:

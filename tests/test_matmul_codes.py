@@ -188,6 +188,20 @@ class TestDecode:
         with pytest.raises(SingularMatrixError):
             decode(cfg, (1, 2, 3), outputs[:3])
 
+    @pytest.mark.parametrize(
+        "family, splits, dims",
+        [("orthomatdot", {"m": 2}, (131, 4, 131)), ("orthopoly", {"m": 2, "n": 2}, (262, 3, 130))],
+    )
+    def test_products_spanning_several_decode_chunks(self, family, splits, dims):
+        # 17,161 and 8,515 entries per product: decode's GEMMs over
+        # _DECODE_CHUNK-entry ranges end in a partial range
+        cfg = scheme_config(family, 7, **splits)
+        rng = Rng(5)
+        a = gaussian_matrix(rng, dims[0], dims[1])
+        b = gaussian_matrix(rng, dims[1], dims[2])
+        survivors = (1, 3, 4, 6)[: recovery_threshold(cfg)]
+        assert relative_frobenius(a @ b, run_pipeline(cfg, a, b, survivors)) <= 1e-13
+
     @settings(max_examples=20, deadline=None)
     @given(st.permutations(list(range(3))))
     def test_permutation_invariance_bitwise(self, order):
