@@ -20,15 +20,9 @@ import os
 import sys
 
 from . import matmul_codes, selfcheck, sim_harness
-from .cheb_vandermonde import (
-    BudgetExceededError,
-    gaussian_bound_trial,
-    subset_cond_stats,
-    theorem_bound_value,
-)
-from .linalg import Rng, SingularMatrixError, gaussian_matrix
+from .cheb_vandermonde import gaussian_bound_trial, subset_cond_stats, theorem_bound_value
+from .linalg import Rng
 from .poly_basis import cheb_grid
-from .sim_harness import FaultModel, run_trial
 
 __all__ = ["main", "entrypoint"]
 
@@ -147,27 +141,16 @@ def _cmd_cond(args) -> int:
     return _emit_and_check(args, sim_harness.sweep([row]))
 
 
-def _scheme_kwargs(args) -> dict:
-    out = {}
-    for name in ("m", "n", "m1", "m2", "m3"):
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    return out
-
-
 def _cmd_mm(args) -> int:
     if bool(args.kill) == bool(args.exhaustive):
         raise UsageError("mm needs exactly one of --kill or --exhaustive")
+    names = ("m", "n", "m1", "m2", "m3")
+    splits = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
-        config = matmul_codes.scheme_config(args.scheme, args.workers, **_scheme_kwargs(args))
+        config = matmul_codes.scheme_config(args.scheme, args.workers, **splits)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     threshold = matmul_codes.recovery_threshold(config)
-    n1, n2, n3 = sim_harness._scheme_dims(config, (args.n1, args.n2, args.n3))
-    rng = Rng(args.seed)
-    a = gaussian_matrix(rng, n1, n2)
-    b = gaussian_matrix(rng, n2, n3)
 
     if args.kill:
         try:
@@ -182,36 +165,25 @@ def _cmd_mm(args) -> int:
                 f"killing {len(killed)} workers leaves {len(survivors)} survivors; "
                 f"decoder needs exactly {threshold}"
             )
-        fault = FaultModel(mode="fixed", subset=survivors)
+        fault = {"mode": "fixed", "subset": survivors}
     else:
-        fault = FaultModel(mode="exhaustive")
-
-    trial = run_trial(config, a, b, fault)
-    records = [
-        sim_harness.ExperimentRecord(
-            scheme=args.scheme,
-            workers=args.workers,
-            threshold=threshold,
-            delta=args.workers - threshold,
-            metric=metric,
-            value=value,
-            seed=args.seed,
-            n1=n1,
-            n2=n2,
-            n3=n3,
-            subset_mode=fault.label(),
-        )
-        for metric, value in (("relerr_worst", trial.worst), ("relerr_avg", trial.average))
-    ]
-    if args.kill:
-        if not math.isfinite(trial.worst):
-            print("error=singular decode for the requested survivor set")
-            return 1
-        if not args.quiet:
-            print(f"relative_error={trial.worst!r}")
-        if args.out:
-            sim_harness.write_records(records, args.out, args.format)
-    else:
+        fault = {"mode": "exhaustive"}
+    row = dict(splits, scheme=args.scheme, P=args.workers, delta=args.workers - threshold,
+               dims=[args.n1, args.n2, args.n3], metrics=["relerr_worst", "relerr_avg"],
+               fault=fault, seeds=[args.seed])
+    records = sim_harness.sweep([row])
+    if args.exhaustive:
+        return _emit_and_check(args, records)
+    worst = records[0]
+    if worst.error:
+        print(f"error={worst.error}")
+        return 1
+    if not math.isfinite(worst.value):
+        print("error=singular decode for the requested survivor set")
+        return 1
+    if not args.quiet:
+        print(f"relative_error={worst.value!r}")
+    if args.out:
         sim_harness.write_records(records, args.out, args.format)
     return 0
 
@@ -337,7 +309,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, BudgetExceededError, RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error={exc}")
         return 1
 

@@ -159,8 +159,15 @@ def _check_harness():
     trial = sim_harness.run_trial(config, a, b, fault)
     assert trial.worst <= 1e-9
     assert trial.worst >= trial.average
-    plan = sim_harness.table1_plan(0, dims=(12, 12, 12))[:1]
-    csv_a = sim_harness.records_to_csv(sim_harness.sweep(plan))
+    # one row of each kind: matmul, Lagrange, cond
+    plan = (
+        sim_harness.table1_plan(0, dims=(12, 12, 12))[:1]
+        + sim_harness.lagrange_stability_plan(workers=(10,), samples=5)[:1]
+        + sim_harness.condition_growth_plan(kinds=("chebyshev",), workers=(10,))
+    )
+    records = sim_harness.sweep(plan)
+    assert not any(r.error for r in records), f"plan row failed: {records}"
+    csv_a = sim_harness.records_to_csv(records)
     csv_b = sim_harness.records_to_csv(sim_harness.sweep(plan))
     assert csv_a == csv_b, "sweep output is not deterministic"
     assert csv_a.splitlines()[0] == sim_harness.CSV_HEADER

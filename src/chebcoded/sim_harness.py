@@ -10,17 +10,21 @@ call the library decoders make, so they are bitwise those of
 differs in shape (one product per chunk of subsets instead of one per
 decode).
 
-``sweep`` turns plan rows into :class:`ExperimentRecord` values and the
-CSV/JSON emitters render them byte-deterministically.
+``sweep`` turns plan rows into :class:`ExperimentRecord` values along
+one path.  A per-kind part (matmul, Lagrange or cond) reads the row's
+config, dims and seeds and returns a per-seed trial; the shared tail checks
+that the metrics fit the kind and that threshold + delta = P, averages the
+trials over the seeds and builds the records.  A row failing with a
+``KeyError`` or ``ValueError`` becomes error records instead.  The CSV/JSON
+emitters render records byte-deterministically.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
     EXHAUSTIVE_SUBSET_LIMIT,
     BudgetExceededError,
+    CondStats,
     check_survivors,
     iter_column_subsets,
     sample_column_subsets,
@@ -241,44 +246,20 @@ class ExperimentRecord:
     error: str = ""
 
 
-def _fmt_value(v: float) -> str:
-    return repr(float(v))
+_FIELDS = [f.name for f in fields(ExperimentRecord)]
 
 
 def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.scheme,
-                    str(r.workers),
-                    str(r.threshold),
-                    str(r.delta),
-                    r.metric,
-                    _fmt_value(r.value),
-                    str(r.seed),
-                    str(r.n1),
-                    str(r.n2),
-                    str(r.n3),
-                    r.subset_mode,
-                    r.error,
-                ]
-            )
-        )
+        cells = (repr(float(r.value)) if k == "value" else str(getattr(r, k)) for k in _FIELDS)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records) -> str:
-    keys = [f.name for f in fields(ExperimentRecord)]
-    out = []
-    for r in records:
-        row = {}
-        for key in keys:
-            name = "P" if key == "workers" else key
-            row[name] = getattr(r, key)
-        out.append(row)
-    return json.dumps(out, indent=2) + "\n"
+    rows = [{("P" if k == "workers" else k): getattr(r, k) for k in _FIELDS} for r in records]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def write_records(records, out=None, fmt: str = "csv") -> str:
@@ -291,7 +272,7 @@ def write_records(records, out=None, fmt: str = "csv") -> str:
     elif isinstance(out, (str, bytes)):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    elif isinstance(out, io.TextIOBase) or hasattr(out, "write"):
+    elif hasattr(out, "write"):
         out.write(text)
     else:
         raise ValueError(f"cannot write records to {out!r}")
@@ -309,252 +290,216 @@ def fit_dims(dims, row_split: int = 1, inner_split: int = 1, col_split: int = 1)
     return fit(n1, row_split), fit(n2, inner_split), fit(n3, col_split)
 
 
-def _largest_divisor_leq_sqrt(k: int) -> int:
-    best = 1
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            best = d
-        d += 1
-    return best
+def _plan_int(row: dict, key: str, default=None) -> int:
+    """``row[key]`` as an int; a value of the wrong JSON type reads as a
+    ValueError naming the key.  A missing key without a default raises
+    KeyError, which ``sweep`` reports as ``missing plan key``."""
+    value = row[key] if default is None else row.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"plan key {key!r} must be an integer, got {value!r}") from None
+
+
+def _plan_ints(row: dict, key: str, default=None, size: int | None = None) -> list[int]:
+    """``row[key]`` as a non-empty list of ints (of length ``size`` if given)."""
+    values = row[key] if default is None else row.get(key, default)
+    if isinstance(values, (list, tuple)) and values and len(values) == (size or len(values)):
+        try:
+            return [int(v) for v in values]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    want = f"{size} integers" if size else "integers"
+    raise ValueError(f"plan key {key!r} must be a non-empty list of {want}, got {values!r}")
 
 
 def matmul_config_for(scheme: str, workers: int, delta: int, row: dict | None = None):
     """Build a SchemeConfig from (scheme, P, delta) plus optional explicit
-    splits in ``row``; the threshold always lands at P - delta."""
+    splits in ``row``; derived splits put the threshold at P - delta, and
+    ``sweep`` rejects explicit ones that do not."""
     row = row or {}
     k = workers - delta
     if k < 1:
         raise ValueError(f"delta={delta} leaves no decodable threshold at P={workers}")
     if scheme in ("matdot", "orthomatdot"):
-        if "m" in row:
-            m = int(row["m"])
-        else:
-            if k % 2 == 0:
-                raise ValueError(f"threshold P-delta={k} must be odd (2m-1) for {scheme}")
-            m = (k + 1) // 2
+        if "m" not in row and k % 2 == 0:
+            raise ValueError(f"threshold P-delta={k} must be odd (2m-1) for {scheme}")
+        m = _plan_int(row, "m") if "m" in row else (k + 1) // 2
         return matmul_codes.scheme_config(scheme, workers, m=m)
     if scheme in ("polynomial", "orthopoly"):
         if "m" in row or "n" in row:
-            m, n = int(row["m"]), int(row["n"])
-        else:
-            m = _largest_divisor_leq_sqrt(k)
+            m, n = _plan_int(row, "m"), _plan_int(row, "n")
+        else:  # m is the largest divisor of k at most sqrt(k)
+            m = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
             n = k // m
         return matmul_codes.scheme_config(scheme, workers, m=m, n=n)
     if scheme == "gen_orthomatdot":
         try:
-            m1, m2, m3 = int(row["m1"]), int(row["m2"]), int(row["m3"])
+            m1, m2, m3 = _plan_int(row, "m1"), _plan_int(row, "m2"), _plan_int(row, "m3")
         except KeyError as exc:
             raise ValueError("gen_orthomatdot rows need explicit m1, m2, m3") from exc
-        cfg = matmul_codes.scheme_config(scheme, workers, m1=m1, m2=m2, m3=m3)
-        actual = workers - matmul_codes.recovery_threshold(cfg)
-        if actual != delta:
-            raise ValueError(f"delta={delta} inconsistent with threshold: actual delta {actual}")
-        return cfg
+        return matmul_codes.scheme_config(scheme, workers, m1=m1, m2=m2, m3=m3)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _scheme_dims(config, dims):
-    if config.family in ("matdot", "orthomatdot"):
-        return fit_dims(dims, inner_split=config.m)
-    if config.family in ("polynomial", "orthopoly"):
-        return fit_dims(dims, row_split=config.m, col_split=config.n)
-    return fit_dims(dims, row_split=config.m1, inner_split=config.m2, col_split=config.m3)
-
-
-def _row_fault(row: dict, seed: int) -> FaultModel:
+def _row_fault(row: dict) -> FaultModel:
+    """The row's fault model; random trials take their seed from the trial."""
     desc = row.get("fault", {"mode": "exhaustive"})
+    if not isinstance(desc, dict):
+        raise ValueError(f"plan key 'fault' must be an object, got {desc!r}")
     mode = desc.get("mode", "exhaustive")
     if mode == "random":
-        return FaultModel(mode="random", samples=int(desc.get("samples", _TABLE1_SAMPLES)), seed=seed)
+        return FaultModel(mode="random", samples=_plan_int(desc, "samples", _TABLE1_SAMPLES))
     if mode == "fixed":
-        return FaultModel(mode="fixed", subset=tuple(desc["subset"]))
+        return FaultModel(mode="fixed", subset=tuple(_plan_ints(desc, "subset")))
     return FaultModel(mode=mode)
 
 
 def _row_metrics(row: dict) -> list[str]:
     metrics = row.get("metrics") or [row["metric"]]
+    if not isinstance(metrics, (list, tuple)):
+        raise ValueError(f"plan key 'metrics' must be a list of metric names, got {metrics!r}")
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     return list(metrics)
 
 
-def _run_matmul_row(row: dict) -> list[ExperimentRecord]:
-    scheme = row["scheme"]
-    workers = int(row["P"])
-    delta = int(row["delta"])
-    seeds = [int(s) for s in row["seeds"]]
+def _matmul_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
     config = matmul_config_for(scheme, workers, delta, row)
-    n1, n2, n3 = _scheme_dims(config, row.get("dims", (120, 120, 120)))
-    threshold = matmul_codes.recovery_threshold(config)
+    dims = _plan_ints(row, "dims", (120, 120, 120), size=3)
+    if config.family in ("matdot", "orthomatdot"):
+        n1, n2, n3 = fit_dims(dims, inner_split=config.m)
+    elif config.family in ("polynomial", "orthopoly"):
+        n1, n2, n3 = fit_dims(dims, row_split=config.m, col_split=config.n)
+    else:
+        n1, n2, n3 = fit_dims(dims, config.m1, config.m2, config.m3)
 
-    worsts, averages = [], []
-    for seed in seeds:
+    def trial(seed: int) -> TrialResult:
         rng = Rng(seed)
         a = gaussian_matrix(rng, n1, n2)
         b = gaussian_matrix(rng, n2, n3)
-        trial = run_trial(config, a, b, _row_fault(row, seed))
-        worsts.append(trial.worst)
-        averages.append(trial.average)
+        return run_trial(config, a, b, replace(fault, seed=seed))
 
-    out = []
-    for metric in _row_metrics(row):
-        values = worsts if metric == "relerr_worst" else averages
-        out.append(
-            ExperimentRecord(
-                scheme=scheme,
-                workers=workers,
-                threshold=threshold,
-                delta=delta,
-                metric=metric,
-                value=sum(values) / len(values),
-                seed=seeds[0],
-                n1=n1,
-                n2=n2,
-                n3=n3,
-                subset_mode=_row_fault(row, seeds[0]).label(),
-            )
-        )
-    return out
+    return matmul_codes.recovery_threshold(config), (n1, n2, n3), _plan_ints(row, "seeds"), trial
 
 
-def _run_lagrange_row(row: dict) -> list[ExperimentRecord]:
-    scheme = row["scheme"]
-    basis = "chebyshev" if scheme == "lagrange_chebyshev" else "monomial"
-    workers = int(row["P"])
-    delta = int(row["delta"])
-    deg_f = int(row.get("deg_f", 1))
-    dim = int(row.get("dim", 10))
-    seeds = [int(s) for s in row["seeds"]]
-    if "m" in row:
-        m = int(row["m"])
-    else:
-        if (workers - delta - 1) % deg_f:
-            raise ValueError(f"P-delta={workers - delta} is not a valid threshold for deg_f={deg_f}")
-        m = (workers - delta - 1) // deg_f + 1
+def _lagrange_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
+    deg_f = _plan_int(row, "deg_f", 1)
+    dim = _plan_int(row, "dim", 10)
+    if "m" not in row and (deg_f < 1 or (workers - delta - 1) % deg_f):
+        raise ValueError(f"P-delta={workers - delta} is not a valid threshold for deg_f={deg_f}")
+    m = _plan_int(row, "m") if "m" in row else (workers - delta - 1) // deg_f + 1
     config = lagrange_codes.LagrangeConfig(m=m, workers=workers, dim=dim, deg_f=deg_f)
+    basis = "chebyshev" if scheme == "lagrange_chebyshev" else "monomial"
 
-    worsts, averages = [], []
-    for seed in seeds:
+    def trial(seed: int) -> TrialResult:
         rng = Rng(seed)
         data = gaussian_matrix(rng, m, dim)
         f = lagrange_codes.linear_map(rng.normals(dim))
-        trial = run_lagrange_trial(config, f, data, _row_fault(row, seed), basis)
-        worsts.append(trial.worst)
-        averages.append(trial.average)
+        return run_lagrange_trial(config, f, data, replace(fault, seed=seed), basis)
 
-    out = []
-    for metric in _row_metrics(row):
-        values = worsts if metric == "relerr_worst" else averages
-        out.append(
-            ExperimentRecord(
-                scheme=scheme,
-                workers=workers,
-                threshold=config.threshold,
-                delta=delta,
-                metric=metric,
-                value=sum(values) / len(values),
-                seed=seeds[0],
-                n1=dim,
-                n2=1,
-                n3=m,
-                subset_mode=_row_fault(row, seeds[0]).label(),
-            )
-        )
-    return out
+    return config.threshold, (dim, 1, m), _plan_ints(row, "seeds"), trial
 
 
-def _run_cond_row(row: dict) -> list[ExperimentRecord]:
-    scheme = row["scheme"]
-    workers = int(row["P"])
-    delta = int(row["delta"])
-    rows_k = int(row.get("rows", workers - delta))
-    norms = {"l2": "spectral", "spectral": "spectral", "frobenius": "frobenius"}
-    if row.get("norm", "l2") not in norms:
-        raise ValueError(f"unknown norm {row['norm']!r}, expected one of {tuple(norms)}")
-    norm = norms[row.get("norm", "l2")]
-    seed = int(row["seeds"][0]) if row.get("seeds") else 0
-    fault = _row_fault(row, seed)
+def _cond_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
+    if fault.mode == "fixed":
+        raise ValueError("cond rows take an exhaustive or random fault, not a fixed one")
+    k = _plan_int(row, "rows", workers - delta)
+    norm = row.get("norm", "l2")
+    if norm not in ("l2", "spectral", "frobenius"):
+        raise ValueError(f"unknown norm {norm!r}, expected one of ('l2', 'spectral', 'frobenius')")
+    norm = "frobenius" if norm == "frobenius" else "spectral"
     points = cheb_grid(workers).points
-    if fault.mode == "random":
-        stats = subset_cond_stats(
-            scheme, rows_k, points, rows_k, norm, "sampled", fault.samples, Rng(seed)
+    mode = "sampled" if fault.mode == "random" else "exhaustive"
+
+    def trial(seed: int) -> CondStats:
+        return subset_cond_stats(scheme, k, points, k, norm, mode, fault.samples, Rng(seed))
+
+    # a cond row runs one trial, on its first seed (0 when it lists none)
+    seeds = _plan_ints(row, "seeds")[:1] if row.get("seeds") else [0]
+    return k, (k, workers, 0), seeds, trial
+
+
+def _records(scheme, workers, threshold, delta, metrics, worst, average, seed, dims, subset_mode,
+             error=""):
+    """The one record builder: ``*_worst`` metrics take ``worst``, ``*_avg`` ``average``."""
+    return [
+        ExperimentRecord(
+            scheme, workers, threshold, delta, metric,
+            worst if metric.endswith("_worst") else average, seed, *dims, subset_mode, error,
         )
-    else:
-        stats = subset_cond_stats(scheme, rows_k, points, rows_k, norm, "exhaustive")
-
-    out = []
-    for metric in _row_metrics(row):
-        value = stats.worst if metric == "cond_worst" else stats.average
-        out.append(
-            ExperimentRecord(
-                scheme=scheme,
-                workers=workers,
-                threshold=rows_k,
-                delta=workers - rows_k,
-                metric=metric,
-                value=value,
-                seed=seed,
-                n1=rows_k,
-                n2=workers,
-                n3=0,
-                subset_mode=fault.label(),
-            )
-        )
-    return out
+        for metric in metrics
+    ]
 
 
-def _run_row(row: dict) -> list[ExperimentRecord]:
+def _run_row(row) -> list[ExperimentRecord]:
+    """Run one plan row: the per-kind part reads the config, dims, seeds and
+    a ``seed -> TrialResult | CondStats`` trial; the rest is shared."""
+    if not isinstance(row, dict):
+        raise ValueError(f"plan row must be an object, got {row!r}")
     scheme = row["scheme"]
     if scheme in matmul_codes.FAMILIES:
-        return _run_matmul_row(row)
-    if scheme in LAGRANGE_SCHEMES:
-        return _run_lagrange_row(row)
-    if scheme in COND_SCHEMES:
-        return _run_cond_row(row)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        part, kind = _matmul_part, "relerr"
+    elif scheme in LAGRANGE_SCHEMES:
+        part, kind = _lagrange_part, "relerr"
+    elif scheme in COND_SCHEMES:
+        part, kind = _cond_part, "cond"
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    workers = _plan_int(row, "P")
+    delta = _plan_int(row, "delta")
+    fault = _row_fault(row)
+    threshold, dims, seeds, trial = part(row, scheme, workers, delta, fault)
+    metrics = _row_metrics(row)
+    wrong = [metric for metric in metrics if not metric.startswith(kind)]
+    if wrong:
+        raise ValueError(f"metric {wrong[0]!r} does not apply to scheme {scheme!r}: use {kind}_*")
+    if threshold + delta != workers:
+        raise ValueError(f"threshold {threshold} + delta {delta} does not equal P={workers}")
+    trials = [trial(seed) for seed in seeds]
+    worst = sum(t.worst for t in trials) / len(trials)
+    average = sum(t.average for t in trials) / len(trials)
+    return _records(
+        scheme, workers, threshold, delta, metrics, worst, average, seeds[0], dims, fault.label()
+    )
 
 
 def sweep(plan) -> list[ExperimentRecord]:
-    """Run every plan row; failures land in the row's error column and
-    never abort the sweep.  Output order follows plan order."""
+    """Run every plan row in order; a row that fails with a domain error
+    (``KeyError`` for a missing plan key, or ``ValueError``, the base of
+    ``SingularMatrixError`` and ``BudgetExceededError``) becomes error
+    records and the sweep goes on.  Other exceptions are bugs and propagate."""
     records: list[ExperimentRecord] = []
     for row in plan:
         try:
-            records.extend(_run_row(dict(row)))
-        except Exception as exc:  # noqa: BLE001 - per-row isolation is the contract
-            for metric in _row_metrics_safe(row):
-                records.append(
-                    ExperimentRecord(
-                        scheme=str(row.get("scheme", "?")),
-                        workers=int(row.get("P", 0)),
-                        threshold=0,
-                        delta=int(row.get("delta", 0)),
-                        metric=metric,
-                        value=math.inf,
-                        seed=int(row["seeds"][0]) if row.get("seeds") else 0,
-                        n1=0,
-                        n2=0,
-                        n3=0,
-                        subset_mode="error",
-                        error=_error_text(exc),
-                    )
-                )
+            records.extend(_run_row(row))
+        except (KeyError, ValueError) as exc:
+            records.extend(_error_records(row, exc))
     return records
 
 
-def _error_text(exc: Exception) -> str:
-    """One CSV-safe line; a KeyError names a plan key the row lacks."""
+def _error_records(row, exc: Exception) -> list[ExperimentRecord]:
+    """Records of a failed row, one per metric it asked for; never raises,
+    whatever the row holds."""
+    row = row if isinstance(row, dict) else {}
+
+    def read(parse, *args, fallback=0):
+        try:
+            return parse(row, *args)
+        except (KeyError, ValueError):
+            return fallback
+
     text = f"missing plan key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return _records(
+        _csv_safe(str(row.get("scheme", "?"))), read(_plan_int, "P"), 0, read(_plan_int, "delta"),
+        read(_row_metrics, fallback=["relerr_worst"]), math.inf, math.inf,
+        read(_plan_ints, "seeds", fallback=[0])[0], (0, 0, 0), "error", _csv_safe(text),
+    )
+
+
+def _csv_safe(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
-
-
-def _row_metrics_safe(row) -> list[str]:
-    try:
-        return _row_metrics(dict(row))
-    except Exception:  # noqa: BLE001
-        return ["relerr_worst"]
 
 
 def table1_plan(seed: int, dims=(120, 120, 120)) -> list[dict]:

@@ -105,6 +105,23 @@ class TestMm:
         assert code == 1
         assert any(line.startswith("error=") for line in out.splitlines())
 
+    def test_exhaustive_stdout_equals_sweep_of_the_plan_row(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys,
+            "mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
+            "--exhaustive", "--seed", "3", "--n1", "10", "--n2", "9", "--n3", "10",
+        )
+        row = {
+            "scheme": "orthopoly", "P": 6, "delta": 2, "m": 2, "n": 2, "dims": [10, 9, 10],
+            "metrics": ["relerr_worst", "relerr_avg"], "fault": {"mode": "exhaustive"},
+            "seeds": [3],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps([row]))
+        sweep_code, sweep_out, _ = run_cli(capsys, "sweep", "--plan", str(plan_path))
+        assert code == sweep_code == 0
+        assert out == sweep_out
+
 
 class TestTable1:
     @pytest.mark.slow

@@ -321,6 +321,57 @@ class TestSweep:
         assert records[0].value >= records[1].value > 1.0
         assert records[0].threshold == 8 and records[0].delta == 2
 
+    VALID = {
+        "scheme": "orthomatdot",
+        "P": 7,
+        "delta": 4,
+        "dims": (8, 8, 8),
+        "metrics": ["relerr_worst"],
+        "fault": {"mode": "exhaustive"},
+        "seeds": [0],
+    }
+    COND = {"scheme": "chebyshev", "P": 10, "delta": 2, "metrics": ["cond_worst"], "seeds": [0]}
+    LAGRANGE = {"scheme": "lagrange_chebyshev", "P": 10, "delta": 2, "seeds": [0],
+                "metrics": ["relerr_worst"], "fault": {"mode": "random", "samples": 3}}
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            (dict(VALID, metrics=["cond_worst"]), ["'cond_worst'", "'orthomatdot'"]),
+            (dict(COND, metrics=["relerr_worst"]), ["'relerr_worst'", "'chebyshev'"]),
+            (dict(VALID, delta=1, m=2), ["threshold 3", "delta 1"]),
+            (dict(LAGRANGE, m=5), ["threshold 5", "delta 2"]),
+            (dict(COND, rows=7), ["threshold 7", "delta 2"]),
+            (dict(COND, fault={"mode": "fixed", "subset": list(range(1, 9))}),
+             ["exhaustive or random"]),
+            (1, ["plan row must be an object"]),
+            (dict(VALID, fault="exhaustive"), ["'fault'"]),
+            (dict(VALID, P=None), ["'P'"]),
+            (dict(VALID, P="x"), ["'P'"]),
+            (dict(VALID, seeds=5), ["'seeds'"]),
+            (dict(VALID, dims=5), ["'dims'"]),
+        ],
+        ids=[
+            "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
+            "cond-threshold", "cond-fixed-fault", "row-not-object", "fault-not-object",
+            "P-null", "P-string", "seeds-int", "dims-int",
+        ],
+    )
+    def test_rejected_row_is_one_error_row_and_the_sweep_goes_on(self, row, named):
+        bad, good = sweep([row, self.VALID])
+        assert bad.subset_mode == "error" and bad.value == math.inf
+        for text in named:
+            assert text in bad.error
+        assert good.error == "" and good.value <= 1e-9
+
+    def test_programming_errors_are_not_caught(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(sim_harness, "run_trial", broken)
+        with pytest.raises(TypeError):
+            sweep([self.VALID])
+
 
 class TestFitDims:
     def test_identity_when_divisible(self):
