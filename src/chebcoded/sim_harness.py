@@ -201,27 +201,30 @@ def _reduce_errors(errors, subsets) -> TrialResult:
 
 
 def run_trial(config, a, b, fault: FaultModel) -> TrialResult:
-    """Full matmul-code trial: encode, run all workers, replay erasures."""
+    """Full matmul-code trial: list the survivor subsets (so that an
+    over-budget fault fails before any work), encode, run all workers,
+    replay erasures."""
     a = as_matrix(a)
     b = as_matrix(b)
+    op = matmul_codes.decode_operator(config)
+    subsets = survivor_subsets(fault, config.workers, op.threshold)
     shards = matmul_codes.encode(config, a, b)
     outputs = [matmul_codes.worker_compute(s) for s in shards]
     all_evals = np.stack([o.product.ravel() for o in outputs], axis=1)
     truth_blocks = matmul_codes.truth_block_table(config, matmul(a, b))
-    op = matmul_codes.decode_operator(config)
-    subsets = survivor_subsets(fault, config.workers, op.threshold)
     errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, subsets)
     return _reduce_errors(errors, subsets)
 
 
 def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> TrialResult:
-    """Lagrange-coding trial; truth is f applied to the raw data points."""
+    """Lagrange-coding trial; truth is f applied to the raw data points.
+    The survivor subsets are listed first, as in :func:`run_trial`."""
+    subsets = survivor_subsets(fault, config.workers, config.threshold)
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
     truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
     gen = lagrange_codes.decode_generator(config, basis)
     anchor_block = gen[:, : config.m]
-    subsets = survivor_subsets(fault, config.workers, config.threshold)
     # estimate (m, v) = anchors^T @ G_R^{-1}^T ... folded as in _replay_errors,
     # with output components playing the role of entries
     errors = _replay_errors(gen, anchor_block, outs.T, truth.T, subsets)
@@ -290,13 +293,21 @@ def fit_dims(dims, row_split: int = 1, inner_split: int = 1, col_split: int = 1)
     return fit(n1, row_split), fit(n2, inner_split), fit(n3, col_split)
 
 
+def _as_int(value) -> int:
+    """An integer plan value: bools and non-integral numbers (10.9, but not
+    10.0) are rejected rather than truncated."""
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _plan_int(row: dict, key: str, default=None) -> int:
     """``row[key]`` as an int; a value of the wrong JSON type reads as a
     ValueError naming the key.  A missing key without a default raises
     KeyError, which ``sweep`` reports as ``missing plan key``."""
     value = row[key] if default is None else row.get(key, default)
     try:
-        return int(value)
+        return _as_int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"plan key {key!r} must be an integer, got {value!r}") from None
 
@@ -306,7 +317,7 @@ def _plan_ints(row: dict, key: str, default=None, size: int | None = None) -> li
     values = row[key] if default is None else row.get(key, default)
     if isinstance(values, (list, tuple)) and values and len(values) == (size or len(values)):
         try:
-            return [int(v) for v in values]
+            return [_as_int(v) for v in values]
         except (TypeError, ValueError, OverflowError):
             pass
     want = f"{size} integers" if size else "integers"

@@ -17,6 +17,9 @@ from chebcoded.cheb_vandermonde import (
 )
 from chebcoded.linalg import Rng, cond
 from chebcoded.poly_basis import cheb_grid
+from chebcoded.sim_harness import condition_growth_plan
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestBuildGenerator:
@@ -170,9 +173,195 @@ class TestSampling:
         for s in subs:
             assert len(s) == 17 and s == tuple(sorted(s)) and 1 <= s[0] and s[-1] <= 20
 
+    @pytest.mark.parametrize("n,size", [(6, 0), (6, 2), (6, 3), (6, 4), (6, 6), (10, 7)])
+    def test_index_arrays_hold_the_smaller_side_in_survivor_order(self, n, size):
+        lex = cheb_vandermonde._lex_index(n, size)
+        assert lex.shape == (math.comb(n, size), min(size, n - size))
+        survivors = cheb_vandermonde._survivor_index(lex, n, size) + 1
+        assert [tuple(r) for r in survivors.tolist()] == list(iter_column_subsets(n, size))
+
     def test_covers_all_when_count_exceeds_total(self):
         subs = sample_column_subsets(5, 3, 100, Rng(0))
         assert subs == list(iter_column_subsets(5, 3))
+
+
+def _one_attempt_sampler(n, size, count, rng):
+    """The sampler as it was written before it was batched: one partial
+    Fisher-Yates shuffle and one ``rng.uniforms`` call per attempt.  Kept
+    frozen as the reference for the subsets and the stream position."""
+    total = math.comb(n, size)
+    if count >= total:
+        return list(iter_column_subsets(n, size))
+    draw = size if size <= n - size else n - size
+    seen = set()
+    out = []
+    pool = np.arange(1, n + 1, dtype=np.int64)
+    full = frozenset(range(1, n + 1))
+    while len(out) < count:
+        arr = pool.copy()
+        us = rng.uniforms(draw)
+        for j in range(draw):
+            swap = j + min(int(us[j] * (n - j)), n - j - 1)
+            arr[j], arr[swap] = arr[swap], arr[j]
+        picked = frozenset(int(v) for v in arr[:draw])
+        subset = tuple(sorted(picked if draw == size else full - picked))
+        if subset not in seen:
+            seen.add(subset)
+            out.append(subset)
+    return out
+
+
+class TestSamplingStream:
+    @pytest.mark.parametrize(
+        "n,size,count",
+        [
+            (30, 27, 500),
+            (80, 77, 1000),
+            (14, 4, 200),
+            (10, 5, 200),
+            (12, 6, 900),  # 900 of 924: many rounds with repeats
+            (12, 6, 924),  # count == total
+            (5, 3, 100),  # count > total
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_same_subsets_and_stream_position(self, n, size, count, seed):
+        batched, reference = Rng(seed), Rng(seed)
+        assert sample_column_subsets(n, size, count, batched) == _one_attempt_sampler(
+            n, size, count, reference
+        )
+        assert np.array_equal(batched.uniforms(3), reference.uniforms(3))
+
+
+def _counting_cond(monkeypatch):
+    calls = []
+    real = cheb_vandermonde.cond
+
+    def counted(a, norm="spectral"):
+        calls.append(np.shape(a))
+        return real(a, norm)
+
+    monkeypatch.setattr(cheb_vandermonde, "cond", counted)
+    return calls
+
+
+def _direct_conds(kind, n, k, idx, norm):
+    """linalg.cond of the k x k survivor submatrices of the generator built
+    at the grid points, one per row of a smaller-side index array."""
+    gen = build_generator(kind, k, cheb_grid(n).points)
+    surv = cheb_vandermonde._survivor_index(idx, n, k)
+    return cond(gen.T[surv].transpose(0, 2, 1), norm)
+
+
+def _complement(kind, n, idx, norm):
+    d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0
+    return cheb_vandermonde._complement_conds(cheb_vandermonde._grid_orthogonal(n), d0, idx, norm)
+
+
+def _plan_grid():
+    """(P, delta) of every Chebyshev row of condition_growth_plan() at its
+    default delta and at delta 1 and 2, and the (n, s) grid of the bound
+    check (acceptance criterion 5, `chebcoded bound`) where s < n - s, the
+    complement path's domain."""
+    rows = {
+        (row["P"], row["delta"])
+        for delta in (1, 2, 3)
+        for row in condition_growth_plan(kinds=("chebyshev",), delta=delta)
+    }
+    rows |= {(n, s) for n in (6, 8, 12, 16, 20, 24) for s in (1, 2, 3) if s < n - s}
+    return sorted(rows)
+
+
+class TestComplementPath:
+    # The complement path and a direct SVD of the float64 generator agree
+    # to this many eps * cond (relative, cond the lane's value): the
+    # largest deviation measured over _plan_grid() is 41 (P=80, delta=1,
+    # normalized, spectral), from the direct SVD's own rounding.
+    CROSS_CHECK_RTOL = 200
+
+    @pytest.mark.parametrize(
+        "kind,n,k,points,direct",
+        [
+            ("chebyshev", 12, 9, None, False),
+            ("chebyshev_normalized", 12, 9, None, False),
+            ("chebyshev", 7, 7, None, False),  # s = 0
+            ("chebyshev", 1, 1, None, False),  # s = 0, k = 1: D is a scalar
+            ("chebyshev", 8, 4, None, True),  # s = k
+            ("chebyshev_normalized", 9, 3, None, True),  # s > k
+            ("chebyshev", 12, 9, 0.999, True),  # not the grid
+            ("monomial", 12, 9, None, True),
+        ],
+    )
+    def test_selection(self, monkeypatch, kind, n, k, points, direct):
+        calls = _counting_cond(monkeypatch)
+        pts = cheb_grid(n).points * (points or 1.0)
+        stats = subset_cond_stats(kind, k, pts, k, "frobenius")
+        assert bool(calls) == direct
+        monkeypatch.undo()
+        gen = build_generator(kind, k, pts)
+        subsets = np.asarray(list(iter_column_subsets(n, k))) - 1
+        oracle = cond(gen.T[subsets].transpose(0, 2, 1), "frobenius")
+        assert stats.worst == pytest.approx(oracle.max(), rel=1e-11)
+        assert stats.average == pytest.approx(oracle.mean(), rel=1e-11)
+
+    @pytest.mark.parametrize("n,s", _plan_grid())
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_matches_direct_on_plan_rows(self, n, s, norm):
+        k = n - s
+        lex = cheb_vandermonde._lex_index(n, k)
+        if len(lex) > 2000:  # the end blocks, the worst subsets, and a sample
+            sample = cheb_vandermonde._sample_index(n, k, 64, Rng(n))
+            lex = np.concatenate([lex[:4], lex[-4:], sample])
+        for kind in ("chebyshev", "chebyshev_normalized"):
+            direct = _direct_conds(kind, n, k, lex, norm)
+            got = _complement(kind, n, lex, norm)
+            assert np.isfinite(direct).all()
+            deviation = np.abs(got - direct) / (EPS * direct * direct)
+            assert deviation.max() <= self.CROSS_CHECK_RTOL, (kind, deviation.max())
+
+    @pytest.mark.parametrize("d0", [1.0, math.sqrt(2.0)])
+    @pytest.mark.parametrize("n,s", [(5, 1), (7, 3), (10, 2), (12, 5)])
+    def test_any_orthogonal_matrix(self, d0, n, s):
+        q, _ = np.linalg.qr(np.random.default_rng(n + s).standard_normal((n, n)))
+        erased = cheb_vandermonde._sample_index(n, n - s, 30, Rng(s))
+        scale = np.ones(n - s)
+        scale[0] = d0
+        survivors = cheb_vandermonde._survivor_index(erased, n, n - s)
+        stack = (scale[:, None] * q[: n - s])[:, survivors].transpose(1, 0, 2)
+        for norm in ("spectral", "frobenius"):
+            want = cond(stack, norm)
+            got = cheb_vandermonde._complement_conds(q, d0, erased, norm)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+    def test_singular_boundary(self, norm):
+        """inf exactly when s_min <= k * eps * s_max, as in linalg.cond:
+        Q rotates columns 2 and 3 by an angle with cosine c, so that the
+        k = 2 survivor block [[1, 0], [0, c]] has s_max = 1, s_min = c."""
+
+        def conds(c):
+            sn = math.sqrt(1.0 - c * c)
+            q = np.array([[1.0, 0.0, 0.0], [0.0, c, -sn], [0.0, sn, c]])
+            return cheb_vandermonde._complement_conds(q, 1.0, np.array([[2]]), norm)[0]
+
+        edge = 2 * EPS  # k = 2
+        above = conds(edge * 1.01)
+        assert math.isfinite(above)
+        assert above == pytest.approx(1.0 / (edge * 1.01), rel=1e-12)
+        assert conds(edge) == math.inf
+        assert conds(edge * 0.99) == math.inf
+        assert conds(0.0) == math.inf  # the solve with Q22 = 0 fails
+        assert conds(1e-160) == math.inf  # and here it overflows
+
+    def test_in_order_mean_and_first_worst_subset(self):
+        n, k = 10, 7
+        stats = subset_cond_stats("chebyshev", k, cheb_grid(n).points, k, "spectral")
+        lex = cheb_vandermonde._lex_index(n, k)
+        survivors = cheb_vandermonde._survivor_index(lex, n, k) + 1
+        conds = _complement("chebyshev", n, lex, "spectral")
+        assert stats.worst_subset.indices == tuple(survivors[int(np.argmax(conds))])
+        assert stats.average == sum(conds.tolist()) / len(conds)
 
 
 class TestTheoremBound:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chebcoded.cheb_vandermonde import build_generator, sample_column_subsets
+from chebcoded.cheb_vandermonde import build_generator, sample_column_subsets, subset_cond_stats
 from chebcoded.linalg import (
     SOLVE_BLOCK,
     Rng,
@@ -367,6 +367,25 @@ def _mpmath_conds(a, mpmath):
     return float(max(sv) / min(sv)), float(mpmath.sqrt(sum_sq * sum_inv_sq))
 
 
+def _mpmath_exact_conds(kind, n, survivors, mpmath):
+    """(spectral, frobenius) of the survivor submatrix of the exact
+    Chebyshev generator on the n-point grid: T_j(x_i) = cos(j theta_i),
+    theta_i = (2i-1) pi / (2n), at the working precision."""
+    k = len(survivors)
+    a = mpmath.matrix(k, k)
+    for col, i in enumerate(survivors):
+        theta = (2 * i - 1) * mpmath.pi / (2 * n)
+        for j in range(k):
+            a[j, col] = mpmath.cos(j * theta)
+        if kind == "chebyshev_normalized":
+            a[0, col] /= mpmath.sqrt(2)
+    s = mpmath.svd_r(a, compute_uv=False)
+    sv = [s[i] for i in range(k)]
+    sum_sq = mpmath.fsum(x**2 for x in sv)
+    sum_inv_sq = mpmath.fsum(1 / x**2 for x in sv)
+    return float(max(sv) / min(sv)), float(mpmath.sqrt(sum_sq * sum_inv_sq))
+
+
 class TestCondOracle:
     """LAPACK singular values against a 60-digit mpmath SVD of the same
     float64 matrices, all with cond < 1e13.  The relative accuracy of s_min
@@ -386,6 +405,32 @@ class TestCondOracle:
             rtol = 1e-6 if want_s < 1e11 else 1e-5
             assert got_s == pytest.approx(want_s, rel=rtol)
             assert got_f == pytest.approx(want_f, rel=rtol)
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "chebyshev_normalized"])
+    @pytest.mark.parametrize(
+        "n", [16, 30, pytest.param(60, marks=pytest.mark.slow)]
+    )
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_complement_path_matches_mpmath(self, kind, n, s):
+        """The complement path of subset_cond_stats (Chebyshev kinds on
+        their own grid) against a 60-digit SVD of the exact generator, for
+        the worst subset and one sampled subset: within 2 eps * cond (0.4
+        measured; the direct SVD of the float64 generator is off by up to
+        5.3 eps * cond on the same subsets)."""
+        mpmath = pytest.importorskip("mpmath")
+        k, grid = n - s, cheb_grid(n).points
+        oracle = {}
+        for col, norm in enumerate(("spectral", "frobenius")):
+            for stats in (
+                subset_cond_stats(kind, k, grid, k, norm),
+                subset_cond_stats(kind, k, grid, k, norm, "sampled", 1, Rng(n + s)),
+            ):
+                subset = stats.worst_subset.indices
+                if subset not in oracle:
+                    with mpmath.workdps(60):
+                        oracle[subset] = _mpmath_exact_conds(kind, n, subset, mpmath)
+                spectral, want = oracle[subset][0], oracle[subset][col]
+                assert abs(stats.worst - want) <= 2 * np.finfo(np.float64).eps * spectral * want
 
     def test_monomial_p30_is_not_saturated(self):
         # the first k=27 submatrix of the 30-point monomial generator: a

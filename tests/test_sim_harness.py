@@ -74,6 +74,25 @@ class TestFaultModel:
             survivor_subsets(FaultModel(mode="exhaustive"), 200, 197)
         assert len(survivor_subsets(FaultModel(mode="exhaustive"), 7, 3)) == 35
 
+    def test_over_budget_trial_fails_before_any_worker_product(self, monkeypatch):
+        calls = []
+        real_worker, real_outputs = matmul_codes.worker_compute, lagrange_codes.worker_outputs
+        monkeypatch.setattr(matmul_codes, "worker_compute", lambda s: calls.append(1) or real_worker(s))
+        monkeypatch.setattr(
+            lagrange_codes, "worker_outputs", lambda *a: calls.append(1) or real_outputs(*a)
+        )
+        exhaustive = FaultModel(mode="exhaustive")
+        config = scheme_config("matdot", 250, m=2)  # C(250, 3) = 2573000 subsets
+        rng = Rng(0)
+        a, b = gaussian_matrix(rng, 4, 4), gaussian_matrix(rng, 4, 4)
+        with pytest.raises(BudgetExceededError):
+            run_trial(config, a, b, exhaustive)
+        lagrange = lagrange_codes.LagrangeConfig(m=3, workers=250, dim=2, deg_f=1)
+        f = lagrange_codes.linear_map(rng.normals(2))
+        with pytest.raises(BudgetExceededError):
+            run_lagrange_trial(lagrange, f, gaussian_matrix(rng, 3, 2), exhaustive)
+        assert calls == []
+
     def test_fixed_survivors_validated(self):
         assert survivor_subsets(FaultModel(mode="fixed", subset=(7, 2, 4)), 7, 3) == [(2, 4, 7)]
         with pytest.raises(ValueError, match="exactly 3 survivors"):
@@ -350,11 +369,16 @@ class TestSweep:
             (dict(VALID, P="x"), ["'P'"]),
             (dict(VALID, seeds=5), ["'seeds'"]),
             (dict(VALID, dims=5), ["'dims'"]),
+            (dict(COND, P=10.9, delta=2.5), ["'P'", "10.9"]),
+            (dict(COND, delta=2.5), ["'delta'", "2.5"]),
+            (dict(VALID, seeds=[0.5]), ["'seeds'"]),
+            (dict(VALID, P=True), ["'P'"]),
         ],
         ids=[
             "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
             "cond-threshold", "cond-fixed-fault", "row-not-object", "fault-not-object",
-            "P-null", "P-string", "seeds-int", "dims-int",
+            "P-null", "P-string", "seeds-int", "dims-int", "P-fraction", "delta-fraction",
+            "seeds-fraction", "P-bool",
         ],
     )
     def test_rejected_row_is_one_error_row_and_the_sweep_goes_on(self, row, named):
@@ -363,6 +387,10 @@ class TestSweep:
         for text in named:
             assert text in bad.error
         assert good.error == "" and good.value <= 1e-9
+
+    def test_integral_floats_are_integers(self):
+        plan = [dict(self.VALID, P=7.0, delta=4.0, seeds=[0.0]), self.VALID]
+        assert records_to_csv(sweep(plan[:1])) == records_to_csv(sweep(plan[1:]))
 
     def test_programming_errors_are_not_caught(self, monkeypatch):
         def broken(*args):
