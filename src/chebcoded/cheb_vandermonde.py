@@ -109,7 +109,14 @@ def take_columns(m, subset: SubsetSpec) -> np.ndarray:
 
 
 def iter_column_subsets(n: int, size: int):
-    """All 1-based size-``size`` subsets of [1, n] in lexicographic order."""
+    """All 1-based size-``size`` subsets of [1, n] in lexicographic order;
+    more than ``EXHAUSTIVE_SUBSET_LIMIT`` of them is a
+    :class:`BudgetExceededError`."""
+    total = math.comb(n, size)
+    if total > EXHAUSTIVE_SUBSET_LIMIT:
+        raise BudgetExceededError(
+            f"{total} survivor subsets exceed the exhaustive budget {EXHAUSTIVE_SUBSET_LIMIT}"
+        )
     return itertools.combinations(range(1, n + 1), size)
 
 
@@ -120,12 +127,13 @@ def iter_column_subsets(n: int, size: int):
 
 def _lex_index(n: int, size: int) -> np.ndarray:
     """Every size-``size`` subset of range(n), survivors in lexicographic
-    order.  The erasure sets of lexicographic survivor sets run in reverse
-    lexicographic order, so the erasure side is built forwards and flipped."""
+    order, within the budget of :func:`iter_column_subsets`.  The erasure
+    sets of lexicographic survivor sets run in reverse lexicographic order,
+    so the erasure side is built forwards and flipped."""
     side = min(size, n - size)
     total = math.comb(n, side)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), side))
-    idx = np.fromiter(flat, dtype=np.int64, count=total * side).reshape(total, side)
+    flat = itertools.chain.from_iterable(iter_column_subsets(n, side))
+    idx = np.fromiter(flat, dtype=np.int64, count=total * side).reshape(total, side) - 1
     return idx if side == size else idx[::-1]
 
 
@@ -164,14 +172,12 @@ def _sample_index(n: int, size: int, count: int, rng: Rng) -> np.ndarray:
     if count >= math.comb(n, size):
         return _lex_index(n, size)
     draw = min(size, n - size)
-    picked = np.empty((0, draw), dtype=np.int64)
+    picked: dict[tuple[int, ...], None] = {}  # insertion-ordered set
     while len(picked) < count:
         need = count - len(picked)
         attempts = _partial_shuffle(n, rng.uniforms(need * draw).reshape(need, draw))
-        rows = np.concatenate([picked, attempts])
-        _, first = np.unique(rows, axis=0, return_index=True)
-        picked = rows[np.sort(first)]  # first occurrences, in draw order
-    return picked
+        picked.update(dict.fromkeys(map(tuple, attempts.tolist())))
+    return np.array(list(picked), dtype=np.int64).reshape(count, draw)
 
 
 def sample_column_subsets(n: int, size: int, count: int, rng: Rng) -> list[tuple[int, ...]]:
@@ -318,12 +324,6 @@ def subset_cond_stats(
         and np.array_equal(pts, cheb_grid(n).points)
     )
     if mode == "exhaustive":
-        total = math.comb(n, subset_size)
-        if total > EXHAUSTIVE_SUBSET_LIMIT:
-            raise BudgetExceededError(
-                f"{total} subsets exceed the exhaustive budget {EXHAUSTIVE_SUBSET_LIMIT}; "
-                f"use mode='sampled'"
-            )
         idx = _lex_index(n, subset_size)
     elif mode == "sampled":
         if rng is None:

@@ -130,7 +130,6 @@ def _cmd_cond(args) -> int:
         "scheme": args.basis,
         "P": args.points,
         "delta": args.points - rows,
-        "rows": rows,
         "norm": args.norm,
         "metrics": ["cond_worst", "cond_avg"],
         "fault": {"mode": "random", "samples": args.samples}
@@ -144,8 +143,9 @@ def _cmd_cond(args) -> int:
 def _cmd_mm(args) -> int:
     if bool(args.kill) == bool(args.exhaustive):
         raise UsageError("mm needs exactly one of --kill or --exhaustive")
-    names = ("m", "n", "m1", "m2", "m3")
-    splits = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    splits = {
+        name: getattr(args, name) for name in matmul_codes.SPLITS if getattr(args, name) is not None
+    }
     try:
         config = matmul_codes.scheme_config(args.scheme, args.workers, **splits)
     except ValueError as exc:

@@ -32,6 +32,7 @@ from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
     "FAMILIES",
+    "SPLITS",
     "SchemeConfig",
     "scheme_config",
     "WorkerShard",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 FAMILIES = ("matdot", "orthomatdot", "polynomial", "orthopoly", "gen_orthomatdot")
+SPLITS = ("m", "n", "m1", "m2", "m3")
 
 _INNER = ("matdot", "orthomatdot")
 _OUTER = ("polynomial", "orthopoly")
@@ -91,9 +93,11 @@ class SchemeConfig:
             "orthopoly": ("m", "n"),
             "gen_orthomatdot": ("m1", "m2", "m3"),
         }[self.family]
-        for name in needed:
+        for name in SPLITS:
             value = getattr(self, name)
-            if value is None or value < 1:
+            if name not in needed and value is not None:
+                raise ValueError(f"{self.family} takes no split {name}, only {', '.join(needed)}")
+            if name in needed and (value is None or value < 1):
                 raise ValueError(f"{self.family} needs positive split count {name}, got {value}")
         if self.points is None:
             pts = cheb_grid(self.workers).points.copy()

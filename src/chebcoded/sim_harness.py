@@ -11,12 +11,14 @@ differs in shape (one product per chunk of subsets instead of one per
 decode).
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
-one path.  A per-kind part (matmul, Lagrange or cond) reads the row's
-config, dims and seeds and returns a per-seed trial; the shared tail checks
-that the metrics fit the kind and that threshold + delta = P, averages the
-trials over the seeds and builds the records.  A row failing with a
-``KeyError`` or ``ValueError`` becomes error records instead.  The CSV/JSON
-emitters render records byte-deterministically.
+one path.  :func:`parse_row` parses each row once against the schema
+that :class:`PlanRow` declares; a per-kind part (matmul, Lagrange or cond)
+reads the typed row and returns its threshold, dims and a per-seed trial;
+the shared tail checks that the metrics fit the kind and that threshold +
+delta = P, averages the trials over the seeds and builds the records.  A
+row that breaks the schema or fails with a ``KeyError`` or ``ValueError``
+becomes error records instead.  The CSV/JSON emitters render records
+byte-deterministically.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
-    EXHAUSTIVE_SUBSET_LIMIT,
-    BudgetExceededError,
     CondStats,
     check_survivors,
     iter_column_subsets,
@@ -55,6 +55,8 @@ __all__ = [
     "error_growth_plan",
     "condition_growth_plan",
     "lagrange_stability_plan",
+    "PlanRow",
+    "parse_row",
     "matmul_config_for",
     "fit_dims",
     "records_to_csv",
@@ -68,6 +70,7 @@ METRICS = ("cond_worst", "cond_avg", "relerr_worst", "relerr_avg")
 
 COND_SCHEMES = ("chebyshev", "monomial", "chebyshev_normalized")
 LAGRANGE_SCHEMES = ("lagrange_chebyshev", "lagrange_monomial")
+FAULT_MODES = ("exhaustive", "random", "fixed")
 
 # Subsets are replayed in chunks whose working set stays under this many floats.
 REPLAY_CHUNK_FLOATS = 6_000_000
@@ -78,23 +81,65 @@ _TABLE1_SAMPLES = 2000
 _SEEDS_PER_POINT = 5
 
 
+def _int(value, key: str) -> int:
+    """An integer: bools and non-integral numbers (10.9, but not 10.0) are
+    rejected rather than truncated."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    try:
+        if fraction or isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"plan key {key!r} must be an integer, got {value!r}") from None
+
+
+def _list(item, size: int | None = None):
+    """Parser of a non-empty list (of ``size`` entries if given) of ``item``s."""
+
+    def parse(value, key: str) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value or len(value) != (size or len(value)):
+            want = f" of {size} entries" if size else ""
+            raise ValueError(f"plan key {key!r} must be a non-empty list{want}, got {value!r}")
+        return tuple(item(v, key) for v in value)
+
+    return parse
+
+
+def _one_of(name: str, options: tuple):
+    def parse(value, key: str):
+        if value not in options:
+            raise ValueError(f"unknown {name} {value!r}, expected one of {options}")
+        return value
+
+    return parse
+
+
+def _key(parse, defaults: dict, fallback=None):
+    """A dataclass field, defaulting to ``fallback``, that declares a plan
+    key: its parser, and its default in each kind of row (or fault mode)
+    that takes it ("*": every kind; MISSING: the key must be given; None:
+    absent unless given)."""
+    return field(default=fallback, metadata={"plan": (parse, defaults)})
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """Which survivor subsets the fusion node is made to decode from.
 
-    exhaustive  - every threshold-size subset (also what worst_only runs;
-                  worst_only just signals that only the max is of interest)
+    exhaustive  - every threshold-size subset
     random      - ``samples`` distinct subsets drawn from seed ``seed``
     fixed       - exactly the given subset
+
+    The other fields declare the keys of a plan row's ``fault`` object.
     """
 
-    mode: str
-    samples: int | None = None
+    mode: str = _key(_one_of("fault mode", FAULT_MODES), {"*": "exhaustive"}, MISSING)
+    samples: int | None = _key(_int, {"random": _TABLE1_SAMPLES})
     seed: int | None = None
-    subset: tuple[int, ...] | None = None
+    subset: tuple[int, ...] | None = _key(_list(_int), {"fixed": MISSING})
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "worst_only", "random", "fixed"):
+        if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.mode == "random" and (self.samples is None or self.samples < 1):
             raise ValueError("random fault mode needs samples >= 1")
@@ -134,12 +179,6 @@ def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> list[tu
         return [check_survivors(fault.subset, threshold, workers)]
     if fault.mode == "random":
         return sample_column_subsets(workers, threshold, fault.samples, Rng(fault.seed or 0))
-    total = math.comb(workers, threshold)
-    if total > EXHAUSTIVE_SUBSET_LIMIT:
-        raise BudgetExceededError(
-            f"{total} survivor subsets exceed the exhaustive budget {EXHAUSTIVE_SUBSET_LIMIT}; "
-            f"use a random fault model"
-        )
     return list(iter_column_subsets(workers, threshold))
 
 
@@ -293,220 +332,208 @@ def fit_dims(dims, row_split: int = 1, inner_split: int = 1, col_split: int = 1)
     return fit(n1, row_split), fit(n2, inner_split), fit(n3, col_split)
 
 
-def _as_int(value) -> int:
-    """An integer plan value: bools and non-integral numbers (10.9, but not
-    10.0) are rejected rather than truncated."""
-    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
-        raise TypeError(f"not an integer: {value!r}")
-    return int(value)
+def _fault(value, key: str) -> FaultModel:
+    if not isinstance(value, dict):
+        raise ValueError(f"plan key {key!r} must be an object, got {value!r}")
+    mode = value.get("mode", "exhaustive")
+    values, errors = _parse_keys(value, FAULT_KEYS, mode if mode in FAULT_MODES else None, "fault")
+    if errors:
+        raise errors[0]
+    return FaultModel(**values)
 
 
-def _plan_int(row: dict, key: str, default=None) -> int:
-    """``row[key]`` as an int; a value of the wrong JSON type reads as a
-    ValueError naming the key.  A missing key without a default raises
-    KeyError, which ``sweep`` reports as ``missing plan key``."""
-    value = row[key] if default is None else row.get(key, default)
-    try:
-        return _as_int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"plan key {key!r} must be an integer, got {value!r}") from None
-
-
-def _plan_ints(row: dict, key: str, default=None, size: int | None = None) -> list[int]:
-    """``row[key]`` as a non-empty list of ints (of length ``size`` if given)."""
-    values = row[key] if default is None else row.get(key, default)
-    if isinstance(values, (list, tuple)) and values and len(values) == (size or len(values)):
+def _parse_keys(obj: dict, table: dict, kind: str | None, what: str) -> tuple[dict, list]:
+    """``obj`` parsed against ``table`` for ``kind`` (None: only the keys
+    every kind takes): its values, and its errors, first those of keys the
+    kind does not take, then per key in table order."""
+    takes = {key: spec for key, spec in table.items() if {kind, "*"} & spec[1].keys()}
+    errors = [ValueError(f"plan key {key!r} is not a key of {kind} {what}s")
+              for key in obj if kind and key not in takes]
+    values = {}
+    for key, (parse, defaults) in takes.items():
+        default = defaults.get(kind, defaults.get("*"))
         try:
-            return [_as_int(v) for v in values]
-        except (TypeError, ValueError, OverflowError):
-            pass
-    want = f"{size} integers" if size else "integers"
-    raise ValueError(f"plan key {key!r} must be a non-empty list of {want}, got {values!r}")
+            if key not in obj and default is MISSING:
+                raise KeyError(key)
+            if key in obj or default is not None:
+                values[key] = parse(obj.get(key, default), key)
+        except (KeyError, ValueError) as exc:
+            errors.append(exc)
+    return values, errors
+
+
+_KINDS = {"matmul": matmul_codes.FAMILIES, "lagrange": LAGRANGE_SCHEMES, "cond": COND_SCHEMES}
+
+
+@dataclass(frozen=True)
+class PlanRow:
+    """A plan row parsed by :func:`parse_row`.  The fields up to ``norm``
+    declare the plan-row schema; a field the row's kind does not take, or
+    an absent optional split, reads None.  A row that breaks the schema
+    keeps its first ``error`` and, for its error records, every key that
+    did parse."""
+
+    scheme: str = _key(_one_of("scheme", sum(_KINDS.values(), ())), {"*": MISSING}, "?")
+    P: int = _key(_int, {"*": MISSING}, 0)
+    delta: int = _key(_int, {"*": MISSING}, 0)
+    metrics: tuple[str, ...] = _key(
+        _list(_one_of("metric", METRICS)), {"*": MISSING}, ("relerr_worst",)
+    )
+    seeds: tuple[int, ...] = _key(_list(_int), {"*": MISSING, "cond": [0]}, (0,))
+    fault: FaultModel | None = _key(_fault, {"*": {"mode": "exhaustive"}})
+    dims: tuple[int, ...] | None = _key(_list(_int, 3), {"matmul": [120, 120, 120]})
+    m: int | None = _key(_int, {"matmul": None, "lagrange": None})
+    n: int | None = _key(_int, {"matmul": None})
+    m1: int | None = _key(_int, {"matmul": None})
+    m2: int | None = _key(_int, {"matmul": None})
+    m3: int | None = _key(_int, {"matmul": None})
+    dim: int | None = _key(_int, {"lagrange": 10})
+    deg_f: int | None = _key(_int, {"lagrange": 1})
+    rows: int | None = _key(_int, {"cond": None})
+    norm: str | None = _key(_one_of("norm", ("l2", "spectral", "frobenius")), {"cond": "l2"})
+    kind: str | None = None
+    error: Exception | None = None
+
+
+PLAN_KEYS = {f.name: f.metadata["plan"] for f in fields(PlanRow) if f.metadata}
+FAULT_KEYS = {f.name: f.metadata["plan"] for f in fields(FaultModel) if f.metadata}
+
+
+def parse_row(row) -> PlanRow:
+    """Parse a raw plan row once, against PLAN_KEYS.  The kind follows from
+    the scheme; a row without a known scheme is parsed only for the keys
+    every kind takes, and its error is the scheme's."""
+    if not isinstance(row, dict):
+        return PlanRow(error=ValueError(f"plan row must be an object, got {row!r}"))
+    scheme = row.get("scheme", "?")
+    kind = next((kind for kind, schemes in _KINDS.items() if scheme in schemes), None)
+    values, errors = _parse_keys(row, PLAN_KEYS, kind, "row")
+    return PlanRow(**{"scheme": str(scheme), **values}, kind=kind, error=next(iter(errors), None))
 
 
 def matmul_config_for(scheme: str, workers: int, delta: int, row: dict | None = None):
-    """Build a SchemeConfig from (scheme, P, delta) plus optional explicit
-    splits in ``row``; derived splits put the threshold at P - delta, and
-    ``sweep`` rejects explicit ones that do not."""
-    row = row or {}
+    """Build a SchemeConfig from (scheme, P, delta) plus the explicit splits
+    in ``row`` (its other keys are not read); derived splits put the
+    threshold at P - delta, and ``sweep`` rejects explicit ones that do not."""
+    splits = {key: _int(row[key], key) for key in matmul_codes.SPLITS if key in (row or {})}
     k = workers - delta
     if k < 1:
         raise ValueError(f"delta={delta} leaves no decodable threshold at P={workers}")
-    if scheme in ("matdot", "orthomatdot"):
-        if "m" not in row and k % 2 == 0:
+    if scheme in ("matdot", "orthomatdot") and "m" not in splits:
+        if k % 2 == 0:
             raise ValueError(f"threshold P-delta={k} must be odd (2m-1) for {scheme}")
-        m = _plan_int(row, "m") if "m" in row else (k + 1) // 2
-        return matmul_codes.scheme_config(scheme, workers, m=m)
-    if scheme in ("polynomial", "orthopoly"):
-        if "m" in row or "n" in row:
-            m, n = _plan_int(row, "m"), _plan_int(row, "n")
-        else:  # m is the largest divisor of k at most sqrt(k)
+        splits["m"] = (k + 1) // 2
+    elif scheme in ("polynomial", "orthopoly"):
+        missing = [key for key in ("m", "n") if key not in splits]
+        if len(missing) == 1:
+            raise KeyError(missing[0])
+        if missing:  # m is the largest divisor of k at most sqrt(k)
             m = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
-            n = k // m
-        return matmul_codes.scheme_config(scheme, workers, m=m, n=n)
-    if scheme == "gen_orthomatdot":
-        try:
-            m1, m2, m3 = _plan_int(row, "m1"), _plan_int(row, "m2"), _plan_int(row, "m3")
-        except KeyError as exc:
-            raise ValueError("gen_orthomatdot rows need explicit m1, m2, m3") from exc
-        return matmul_codes.scheme_config(scheme, workers, m1=m1, m2=m2, m3=m3)
-    raise ValueError(f"unknown scheme {scheme!r}")
+            splits.update(m=m, n=k // m)
+    return matmul_codes.scheme_config(scheme, workers, **splits)
 
 
-def _row_fault(row: dict) -> FaultModel:
-    """The row's fault model; random trials take their seed from the trial."""
-    desc = row.get("fault", {"mode": "exhaustive"})
-    if not isinstance(desc, dict):
-        raise ValueError(f"plan key 'fault' must be an object, got {desc!r}")
-    mode = desc.get("mode", "exhaustive")
-    if mode == "random":
-        return FaultModel(mode="random", samples=_plan_int(desc, "samples", _TABLE1_SAMPLES))
-    if mode == "fixed":
-        return FaultModel(mode="fixed", subset=tuple(_plan_ints(desc, "subset")))
-    return FaultModel(mode=mode)
-
-
-def _row_metrics(row: dict) -> list[str]:
-    metrics = row.get("metrics") or [row["metric"]]
-    if not isinstance(metrics, (list, tuple)):
-        raise ValueError(f"plan key 'metrics' must be a list of metric names, got {metrics!r}")
-    for metric in metrics:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    return list(metrics)
-
-
-def _matmul_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
-    config = matmul_config_for(scheme, workers, delta, row)
-    dims = _plan_ints(row, "dims", (120, 120, 120), size=3)
+def _matmul_part(row: PlanRow):
+    given = {key: value for key, value in vars(row).items() if value is not None}
+    config = matmul_config_for(row.scheme, row.P, row.delta, given)
     if config.family in ("matdot", "orthomatdot"):
-        n1, n2, n3 = fit_dims(dims, inner_split=config.m)
+        n1, n2, n3 = fit_dims(row.dims, inner_split=config.m)
     elif config.family in ("polynomial", "orthopoly"):
-        n1, n2, n3 = fit_dims(dims, row_split=config.m, col_split=config.n)
+        n1, n2, n3 = fit_dims(row.dims, row_split=config.m, col_split=config.n)
     else:
-        n1, n2, n3 = fit_dims(dims, config.m1, config.m2, config.m3)
+        n1, n2, n3 = fit_dims(row.dims, config.m1, config.m2, config.m3)
 
     def trial(seed: int) -> TrialResult:
         rng = Rng(seed)
         a = gaussian_matrix(rng, n1, n2)
         b = gaussian_matrix(rng, n2, n3)
-        return run_trial(config, a, b, replace(fault, seed=seed))
+        return run_trial(config, a, b, replace(row.fault, seed=seed))
 
-    return matmul_codes.recovery_threshold(config), (n1, n2, n3), _plan_ints(row, "seeds"), trial
+    return matmul_codes.recovery_threshold(config), (n1, n2, n3), trial
 
 
-def _lagrange_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
-    deg_f = _plan_int(row, "deg_f", 1)
-    dim = _plan_int(row, "dim", 10)
-    if "m" not in row and (deg_f < 1 or (workers - delta - 1) % deg_f):
+def _lagrange_part(row: PlanRow):
+    workers, delta, deg_f, dim, m = row.P, row.delta, row.deg_f, row.dim, row.m
+    if m is None and (deg_f < 1 or (workers - delta - 1) % deg_f):
         raise ValueError(f"P-delta={workers - delta} is not a valid threshold for deg_f={deg_f}")
-    m = _plan_int(row, "m") if "m" in row else (workers - delta - 1) // deg_f + 1
+    m = (workers - delta - 1) // deg_f + 1 if m is None else m
     config = lagrange_codes.LagrangeConfig(m=m, workers=workers, dim=dim, deg_f=deg_f)
-    basis = "chebyshev" if scheme == "lagrange_chebyshev" else "monomial"
+    basis = "chebyshev" if row.scheme == "lagrange_chebyshev" else "monomial"
 
     def trial(seed: int) -> TrialResult:
         rng = Rng(seed)
         data = gaussian_matrix(rng, m, dim)
         f = lagrange_codes.linear_map(rng.normals(dim))
-        return run_lagrange_trial(config, f, data, replace(fault, seed=seed), basis)
+        return run_lagrange_trial(config, f, data, replace(row.fault, seed=seed), basis)
 
-    return config.threshold, (dim, 1, m), _plan_ints(row, "seeds"), trial
+    return config.threshold, (dim, 1, m), trial
 
 
-def _cond_part(row: dict, scheme: str, workers: int, delta: int, fault: FaultModel):
-    if fault.mode == "fixed":
+def _cond_part(row: PlanRow):
+    if row.fault.mode == "fixed":
         raise ValueError("cond rows take an exhaustive or random fault, not a fixed one")
-    k = _plan_int(row, "rows", workers - delta)
-    norm = row.get("norm", "l2")
-    if norm not in ("l2", "spectral", "frobenius"):
-        raise ValueError(f"unknown norm {norm!r}, expected one of ('l2', 'spectral', 'frobenius')")
-    norm = "frobenius" if norm == "frobenius" else "spectral"
-    points = cheb_grid(workers).points
-    mode = "sampled" if fault.mode == "random" else "exhaustive"
+    k = row.P - row.delta if row.rows is None else row.rows
+    norm = "frobenius" if row.norm == "frobenius" else "spectral"  # l2 is spectral
+    points = cheb_grid(row.P).points
+    mode = "sampled" if row.fault.mode == "random" else "exhaustive"
 
     def trial(seed: int) -> CondStats:
-        return subset_cond_stats(scheme, k, points, k, norm, mode, fault.samples, Rng(seed))
+        return subset_cond_stats(row.scheme, k, points, k, norm, mode, row.fault.samples, Rng(seed))
 
-    # a cond row runs one trial, on its first seed (0 when it lists none)
-    seeds = _plan_ints(row, "seeds")[:1] if row.get("seeds") else [0]
-    return k, (k, workers, 0), seeds, trial
+    return k, (k, row.P, 0), trial
 
 
-def _records(scheme, workers, threshold, delta, metrics, worst, average, seed, dims, subset_mode,
-             error=""):
-    """The one record builder: ``*_worst`` metrics take ``worst``, ``*_avg`` ``average``."""
+def _records(row: PlanRow, threshold, worst, average, dims, subset_mode, error=""):
+    """The one record builder, one record per metric of ``row``: ``*_worst``
+    metrics take ``worst``, ``*_avg`` ``average``."""
     return [
         ExperimentRecord(
-            scheme, workers, threshold, delta, metric,
-            worst if metric.endswith("_worst") else average, seed, *dims, subset_mode, error,
+            _csv_safe(row.scheme), row.P, threshold, row.delta, metric,
+            worst if metric.endswith("_worst") else average, row.seeds[0], *dims,
+            subset_mode, error,
         )
-        for metric in metrics
+        for metric in row.metrics
     ]
 
 
-def _run_row(row) -> list[ExperimentRecord]:
-    """Run one plan row: the per-kind part reads the config, dims, seeds and
-    a ``seed -> TrialResult | CondStats`` trial; the rest is shared."""
-    if not isinstance(row, dict):
-        raise ValueError(f"plan row must be an object, got {row!r}")
-    scheme = row["scheme"]
-    if scheme in matmul_codes.FAMILIES:
-        part, kind = _matmul_part, "relerr"
-    elif scheme in LAGRANGE_SCHEMES:
-        part, kind = _lagrange_part, "relerr"
-    elif scheme in COND_SCHEMES:
-        part, kind = _cond_part, "cond"
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    workers = _plan_int(row, "P")
-    delta = _plan_int(row, "delta")
-    fault = _row_fault(row)
-    threshold, dims, seeds, trial = part(row, scheme, workers, delta, fault)
-    metrics = _row_metrics(row)
-    wrong = [metric for metric in metrics if not metric.startswith(kind)]
+def _run_row(row: PlanRow) -> list[ExperimentRecord]:
+    """Run one parsed plan row: the per-kind part gives the threshold, dims
+    and a ``seed -> TrialResult | CondStats`` trial; the rest is shared."""
+    if row.error is not None:
+        raise row.error
+    part = {"matmul": _matmul_part, "lagrange": _lagrange_part, "cond": _cond_part}[row.kind]
+    threshold, dims, trial = part(row)
+    prefix = "cond" if row.kind == "cond" else "relerr"
+    wrong = [metric for metric in row.metrics if not metric.startswith(prefix)]
     if wrong:
-        raise ValueError(f"metric {wrong[0]!r} does not apply to scheme {scheme!r}: use {kind}_*")
-    if threshold + delta != workers:
-        raise ValueError(f"threshold {threshold} + delta {delta} does not equal P={workers}")
+        raise ValueError(
+            f"metric {wrong[0]!r} does not apply to scheme {row.scheme!r}: use {prefix}_*"
+        )
+    if threshold + row.delta != row.P:
+        raise ValueError(f"threshold {threshold} + delta {row.delta} does not equal P={row.P}")
+    # a cond row runs one trial, on its first seed
+    seeds = row.seeds[:1] if row.kind == "cond" else row.seeds
     trials = [trial(seed) for seed in seeds]
     worst = sum(t.worst for t in trials) / len(trials)
     average = sum(t.average for t in trials) / len(trials)
-    return _records(
-        scheme, workers, threshold, delta, metrics, worst, average, seeds[0], dims, fault.label()
-    )
+    return _records(row, threshold, worst, average, dims, row.fault.label())
 
 
 def sweep(plan) -> list[ExperimentRecord]:
-    """Run every plan row in order; a row that fails with a domain error
-    (``KeyError`` for a missing plan key, or ``ValueError``, the base of
-    ``SingularMatrixError`` and ``BudgetExceededError``) becomes error
-    records and the sweep goes on.  Other exceptions are bugs and propagate."""
+    """Parse and run every plan row in order; a row that breaks the schema
+    or fails with a domain error (``KeyError`` for a missing plan key, or
+    ``ValueError``, the base of ``SingularMatrixError`` and
+    ``BudgetExceededError``) becomes error records, one per metric it asked
+    for, and the sweep goes on.  Other exceptions are bugs and propagate."""
     records: list[ExperimentRecord] = []
-    for row in plan:
+    for raw in plan:
+        row = parse_row(raw)
         try:
             records.extend(_run_row(row))
         except (KeyError, ValueError) as exc:
-            records.extend(_error_records(row, exc))
+            text = _csv_safe(f"missing plan key {exc}" if isinstance(exc, KeyError) else str(exc))
+            records.extend(_records(row, 0, math.inf, math.inf, (0, 0, 0), "error", text))
     return records
-
-
-def _error_records(row, exc: Exception) -> list[ExperimentRecord]:
-    """Records of a failed row, one per metric it asked for; never raises,
-    whatever the row holds."""
-    row = row if isinstance(row, dict) else {}
-
-    def read(parse, *args, fallback=0):
-        try:
-            return parse(row, *args)
-        except (KeyError, ValueError):
-            return fallback
-
-    text = f"missing plan key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return _records(
-        _csv_safe(str(row.get("scheme", "?"))), read(_plan_int, "P"), 0, read(_plan_int, "delta"),
-        read(_row_metrics, fallback=["relerr_worst"]), math.inf, math.inf,
-        read(_plan_ints, "seeds", fallback=[0])[0], (0, 0, 0), "error", _csv_safe(text),
-    )
 
 
 def _csv_safe(text: str) -> str:

@@ -80,6 +80,13 @@ class TestMm:
         )
         assert code == 2 and "usage error" in err
 
+    def test_split_the_family_does_not_take_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "mm", "--scheme", "matdot", "--m", "2", "--n", "3", "--workers", "5", "--exhaustive",
+        )
+        assert code == 2 and "takes no split n" in err
+
     def test_gen_scheme_flags(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,20 +1,26 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chebcoded import lagrange_codes, linalg, matmul_codes, sim_harness
+from chebcoded import cli, lagrange_codes, linalg, matmul_codes, sim_harness
 from chebcoded.cheb_vandermonde import BudgetExceededError
 from chebcoded.linalg import Rng, gaussian_matrix, matmul
 from chebcoded.matmul_codes import decode, encode, scheme_config, worker_compute
 from chebcoded.sim_harness import (
     CSV_HEADER,
+    FAULT_KEYS,
+    PLAN_KEYS,
     ExperimentRecord,
     FaultModel,
+    condition_growth_plan,
     error_growth_plan,
     fit_dims,
     lagrange_stability_plan,
+    parse_row,
     records_to_csv,
     records_to_json,
     relative_error,
@@ -120,12 +126,6 @@ class TestRunTrial:
         trial = run_trial(self.config, self.a, self.b, FaultModel(mode="exhaustive"))
         assert trial.worst <= 1e-9
         assert trial.worst >= trial.average
-
-    def test_worst_only_matches_exhaustive(self):
-        exhaustive = run_trial(self.config, self.a, self.b, FaultModel(mode="exhaustive"))
-        worst_only = run_trial(self.config, self.a, self.b, FaultModel(mode="worst_only"))
-        assert worst_only.worst == exhaustive.worst
-        assert worst_only.worst_subset == exhaustive.worst_subset
 
     def test_fixed_mode_matches_full_decode(self):
         survivors = (2, 4, 7)
@@ -373,12 +373,26 @@ class TestSweep:
             (dict(COND, delta=2.5), ["'delta'", "2.5"]),
             (dict(VALID, seeds=[0.5]), ["'seeds'"]),
             (dict(VALID, P=True), ["'P'"]),
+            (dict(COND, nrom="frobenius"), ["'nrom'"]),
+            (dict(COND, fault={"mode": "random", "sample": 5}), ["'sample'"]),
+            (dict(VALID, deg_f=2), ["'deg_f'", "matmul"]),
+            (dict(VALID, norm="frobenius"), ["'norm'", "matmul"]),
+            (dict(LAGRANGE, dims=[8, 8, 8]), ["'dims'", "lagrange"]),
+            (dict(COND, dims=[8, 8, 8]), ["'dims'", "cond"]),
+            (dict(VALID, fault={"mode": "exhaustive", "samples": 5}), ["'samples'", "exhaustive"]),
+            (dict(LAGRANGE, fault={"mode": "random", "samples": 3, "subset": [1, 2]}),
+             ["'subset'", "random"]),
+            (dict(VALID, metrics=[]), ["'metrics'"]),
+            (dict(VALID, metric="relerr_avg"), ["'metric'"]),
+            (dict(VALID, scheme="matdot", n=3), ["matdot", "split n"]),
         ],
         ids=[
             "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
             "cond-threshold", "cond-fixed-fault", "row-not-object", "fault-not-object",
             "P-null", "P-string", "seeds-int", "dims-int", "P-fraction", "delta-fraction",
-            "seeds-fraction", "P-bool",
+            "seeds-fraction", "P-bool", "misspelled-key", "misspelled-fault-key",
+            "matmul-deg_f", "matmul-norm", "lagrange-dims", "cond-dims", "exhaustive-samples",
+            "random-subset", "metrics-empty", "metric-alias", "matdot-n",
         ],
     )
     def test_rejected_row_is_one_error_row_and_the_sweep_goes_on(self, row, named):
@@ -387,6 +401,38 @@ class TestSweep:
         for text in named:
             assert text in bad.error
         assert good.error == "" and good.value <= 1e-9
+
+    def test_every_built_in_row_parses(self, monkeypatch, capsys):
+        rows = [
+            *table1_plan(3),
+            *error_growth_plan(schemes=("matdot", "orthomatdot", "polynomial", "orthopoly")),
+            *condition_growth_plan(),
+            *condition_growth_plan(samples=2000),
+            *lagrange_stability_plan(),
+        ]
+        built = []  # the rows the CLI subcommands build
+        real_sweep = sim_harness.sweep
+        monkeypatch.setattr(sim_harness, "sweep", lambda p: built.extend(p) or real_sweep(p))
+        for argv in (
+            ["cond", "--basis", "chebyshev", "--points", "8", "--rows", "6"],
+            ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
+             "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4"],
+            ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
+             "--workers", "5", "--exhaustive", "--n1", "4", "--n2", "4", "--n3", "4"],
+            ["lagrange", "--workers", "8", "--m", "4", "--degf", "2", "--samples", "3"],
+        ):
+            assert cli.main(argv) == 0
+        assert len(built) == 4
+        rows += built
+        assert [parse_row(row).error for row in rows] == [None] * len(rows)
+
+    def test_readme_plan_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Plan files", 1)[1].split("\n## ", 1)[0]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert example and [parse_row(row).error for row in example] == [None] * len(example)
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
+        assert documented == set(PLAN_KEYS) | set(FAULT_KEYS)
 
     def test_integral_floats_are_integers(self):
         plan = [dict(self.VALID, P=7.0, delta=4.0, seeds=[0.0]), self.VALID]
