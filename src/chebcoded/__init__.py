@@ -10,10 +10,8 @@ from .linalg import Rng, SingularMatrixError, cond, gaussian_matrix, invert, mat
 from .poly_basis import ChebyshevGrid, QuadratureRule, cheb_T, cheb_grid, quad_rule
 from .cheb_vandermonde import (
     BudgetExceededError,
-    SubsetSpec,
     build_generator,
     subset_cond_stats,
-    take_columns,
     theorem_bound_value,
 )
 from .matmul_codes import (

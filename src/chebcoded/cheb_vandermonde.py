@@ -2,8 +2,10 @@
 
 Builders for the monomial Vandermonde, the Chebyshev-Vandermonde matrix
 (rows T_0..T_{k-1} at a point vector) and its normalized variant (first
-row divided by sqrt(2)); column-subset selection, exhaustive or sampled,
-as index arrays; worst/average condition numbers over square column
+row divided by sqrt(2)); the one survivor-subset pipeline of the
+condition sweep and the error replay (subsets as index arrays,
+exhaustive or sampled, gathered a chunk at a time and reduced to a
+worst/average pair); worst/average condition numbers over square column
 submatrices, from the erased columns alone for the Chebyshev kinds on
 their own grid and from one batched SVD otherwise; and the two
 conditioning bounds checked empirically in the experiments.
@@ -17,20 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Rng, as_matrix, cond, gaussian_matrix, solve
+from .linalg import Rng, cond, gaussian_matrix, solve
 from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
     "GENERATOR_KINDS",
     "EXHAUSTIVE_SUBSET_LIMIT",
     "BudgetExceededError",
-    "SubsetSpec",
     "check_survivors",
-    "CondStats",
     "build_generator",
-    "take_columns",
     "iter_column_subsets",
+    "subset_index",
     "sample_column_subsets",
+    "survivor_chunks",
+    "SubsetStats",
+    "subset_stats",
     "subset_cond_stats",
     "theorem_bound_value",
     "gaussian_bound_trial",
@@ -53,28 +56,16 @@ class BudgetExceededError(ValueError):
     """Exhaustive enumeration would exceed the subset budget; sample instead."""
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """Strictly increasing 1-based column indices into an n-column matrix."""
-
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"subset indices must be distinct and increasing, got {idx}")
-        if idx and (idx[0] < 1 or idx[-1] > self.n):
-            raise ValueError(f"subset indices {idx} out of range [1, {self.n}]")
-
-
 def check_survivors(survivors, size: int, workers: int) -> tuple[int, ...]:
     """Sorted survivor set: exactly ``size`` distinct indices in [1, workers]."""
     surv = tuple(sorted(int(s) for s in survivors))
     if len(surv) != size:
         raise ValueError(f"decoder needs exactly {size} survivors, got {len(surv)}")
-    return SubsetSpec(workers, surv).indices
+    if len(set(surv)) != size:
+        raise ValueError(f"survivor indices must be distinct, got {surv}")
+    if surv and (surv[0] < 1 or surv[-1] > workers):
+        raise ValueError(f"survivor indices {surv} out of range [1, {workers}]")
+    return surv
 
 
 def build_generator(kind: str, k: int, points) -> np.ndarray:
@@ -99,15 +90,6 @@ def build_generator(kind: str, k: int, points) -> np.ndarray:
     return g
 
 
-def take_columns(m, subset: SubsetSpec) -> np.ndarray:
-    """Columns of ``m`` selected by ``subset``, in ascending index order."""
-    mat = as_matrix(m)
-    if subset.n != mat.shape[1]:
-        raise ValueError(f"subset is over {subset.n} columns, matrix has {mat.shape[1]}")
-    idx = np.asarray(subset.indices, dtype=np.int64) - 1
-    return mat[:, idx]
-
-
 def iter_column_subsets(n: int, size: int):
     """All 1-based size-``size`` subsets of [1, n] in lexicographic order;
     more than ``EXHAUSTIVE_SUBSET_LIMIT`` of them is a
@@ -121,24 +103,13 @@ def iter_column_subsets(n: int, size: int):
 
 
 # Subsets are handled as 0-based index arrays, one subset per row, holding
-# the smaller side of the split: the survivors when size <= n - size, else
-# the erased columns.  Row order is always that of the survivor subsets.
-
-
-def _lex_index(n: int, size: int) -> np.ndarray:
-    """Every size-``size`` subset of range(n), survivors in lexicographic
-    order, within the budget of :func:`iter_column_subsets`.  The erasure
-    sets of lexicographic survivor sets run in reverse lexicographic order,
-    so the erasure side is built forwards and flipped."""
-    side = min(size, n - size)
-    total = math.comb(n, side)
-    flat = itertools.chain.from_iterable(iter_column_subsets(n, side))
-    idx = np.fromiter(flat, dtype=np.int64, count=total * side).reshape(total, side) - 1
-    return idx if side == size else idx[::-1]
+# either the survivors or the erased columns: the row width says which,
+# the survivors when the two sides are the same size.  :func:`subset_index`
+# keeps the smaller side; row order is always that of the survivor subsets.
 
 
 def _survivor_index(idx: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The sorted survivors of each row of a smaller-side index array."""
+    """The sorted survivors of each row of an index array."""
     if idx.shape[1] == size:
         return idx
     keep = np.ones((len(idx), n), dtype=bool)
@@ -159,56 +130,91 @@ def _partial_shuffle(n: int, us: np.ndarray) -> np.ndarray:
     return np.sort(arr[:, :draw], axis=1)
 
 
-def _sample_index(n: int, size: int, count: int, rng: Rng) -> np.ndarray:
-    """``count`` distinct subsets in draw order (all of them, in
-    lexicographic order, if ``count`` covers every subset).
+def subset_index(n: int, size: int, samples: int | None = None, rng: Rng | None = None):
+    """The size-``size`` subsets of range(n) as a smaller-side index array:
+    every one (``samples`` None), survivors in lexicographic order within
+    the budget of :func:`iter_column_subsets`, or ``samples`` distinct ones
+    in draw order from ``rng`` (every one, lexicographic, if ``samples``
+    covers them all).
 
-    Each attempt is a partial Fisher-Yates shuffle that picks the smaller
-    side from ``min(size, n - size)`` uniforms; a repeated subset is
-    skipped.  Attempts are drawn a round at a time, each round exactly the
-    number still missing: one attempt adds at most one new subset, so no
-    round draws a value that one attempt at a time would not, and ``rng``
-    ends where it would."""
-    if count >= math.comb(n, size):
-        return _lex_index(n, size)
-    draw = min(size, n - size)
+    The erasure sets of lexicographic survivor sets run in reverse
+    lexicographic order, so the erasure side is enumerated forwards and
+    flipped.  A sampled attempt is a partial Fisher-Yates shuffle that
+    picks the smaller side from ``min(size, n - size)`` uniforms; a
+    repeated subset is skipped.  Attempts are drawn a round at a time, each
+    round exactly the number still missing: one attempt adds at most one
+    new subset, so no round draws a value that one attempt at a time would
+    not, and ``rng`` ends where it would."""
+    if not 0 <= size <= n:
+        raise ValueError(f"subset size {size} out of range [0, {n}]")
+    if samples is not None and samples < 1:
+        raise ValueError(f"sampling needs samples >= 1, got {samples}")
+    if samples is not None and rng is None:
+        raise ValueError("sampling needs an rng")
+    side = min(size, n - size)
+    if samples is None or samples >= math.comb(n, size):
+        total = math.comb(n, side)
+        flat = itertools.chain.from_iterable(iter_column_subsets(n, side))
+        idx = np.fromiter(flat, dtype=np.int64, count=total * side).reshape(total, side) - 1
+        return idx if side == size else idx[::-1]
     picked: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-    while len(picked) < count:
-        need = count - len(picked)
-        attempts = _partial_shuffle(n, rng.uniforms(need * draw).reshape(need, draw))
+    while len(picked) < samples:
+        need = samples - len(picked)
+        attempts = _partial_shuffle(n, rng.uniforms(need * side).reshape(need, side))
         picked.update(dict.fromkeys(map(tuple, attempts.tolist())))
-    return np.array(list(picked), dtype=np.int64).reshape(count, draw)
+    return np.array(list(picked), dtype=np.int64).reshape(samples, side)
 
 
 def sample_column_subsets(n: int, size: int, count: int, rng: Rng) -> list[tuple[int, ...]]:
-    """``count`` distinct subsets, drawn uniformly without replacement.
-
-    The list is generated in order from ``rng`` so a given seed
-    always yields the same subsets in the same order; if ``count`` covers
-    all subsets the enumeration is exhaustive (lexicographic).
-    """
-    idx = _survivor_index(_sample_index(n, size, count, rng), n, size) + 1
+    """``count`` distinct 1-based survivor subsets, drawn as by
+    :func:`subset_index`: a given seed always yields the same subsets in
+    the same order."""
+    idx = _survivor_index(subset_index(n, size, count, rng), n, size) + 1
     return list(map(tuple, idx.tolist()))
 
 
+def survivor_chunks(idx: np.ndarray, n: int, size: int, cost: int, budget: int):
+    """The 0-based survivors of the rows of the index array ``idx``, in row
+    order, as (rows, size) arrays of at most ``budget // cost`` rows (at
+    least one), ``cost`` being what one subset's gathered working set
+    takes of ``budget``.  The condition sweep and the error replay gather
+    their survivor submatrices from these chunks."""
+    step = max(1, budget // max(1, cost))
+    for start in range(0, len(idx), step):
+        yield _survivor_index(idx[start : start + step], n, size)
+
+
 @dataclass(frozen=True)
-class CondStats:
+class SubsetStats:
+    """Worst and mean of a per-subset value, and the first subset reaching
+    the worst as 1-based survivors."""
+
     worst: float
     average: float
-    worst_subset: SubsetSpec
+    worst_subset: tuple[int, ...]
+
+
+def subset_stats(values: np.ndarray, idx: np.ndarray, n: int, size: int) -> SubsetStats:
+    """The one worst/average reduction of per-subset ``values``, one per row
+    of ``idx``.  The infinity sentinel of a singular subset dominates the
+    worst case.  The mean is accumulated in row order, one uncompensated
+    float addition at a time on every Python version, so it does not
+    depend on how the rows were chunked."""
+    worst_at = int(np.argmax(values))
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    worst = _survivor_index(idx[worst_at : worst_at + 1], n, size)[0] + 1
+    return SubsetStats(float(values[worst_at]), total / len(values), tuple(worst.tolist()))
 
 
 def _subset_conds(mat: np.ndarray, idx: np.ndarray, norm: str) -> np.ndarray:
     """Condition numbers of the square survivor submatrices of ``mat``,
-    one per row of the smaller-side index array ``idx``, gathered in
-    byte-bounded stacks."""
+    one per row of the index array ``idx``, gathered in byte-bounded
+    stacks."""
     rows, n = mat.shape
-    chunk = max(1, COND_CHUNK_BYTES // (8 * rows * rows))
-    stacks = (
-        mat.T[_survivor_index(idx[start : start + chunk], n, rows)].transpose(0, 2, 1)
-        for start in range(0, len(idx), chunk)
-    )
-    return np.concatenate([cond(stack, norm) for stack in stacks])
+    chunks = survivor_chunks(idx, n, rows, 8 * rows * rows, COND_CHUNK_BYTES)
+    return np.concatenate([cond(mat.T[sel].transpose(0, 2, 1), norm) for sel in chunks])
 
 
 def _grid_orthogonal(n: int) -> np.ndarray:
@@ -288,61 +294,35 @@ def subset_cond_stats(
     kind: str,
     k: int,
     points,
-    subset_size: int,
     norm: str = "spectral",
-    mode: str = "exhaustive",
-    samples: int = 20000,
+    samples: int | None = None,
     rng: Rng | None = None,
-) -> CondStats:
-    """Worst/average condition number over square column submatrices.
+) -> SubsetStats:
+    """Worst/average condition number over the k x k column submatrices of
+    the k-row generator at ``points``.
 
-    Visits size-``subset_size`` column subsets (all of them, or
-    ``samples`` drawn without replacement from ``rng``).  The two
+    Visits the size-k column subsets of :func:`subset_index`: all of them,
+    or ``samples`` drawn without replacement from ``rng``.  The two
     Chebyshev kinds on their own grid (``points`` equal to
     ``cheb_grid(n).points``) with fewer erased than surviving columns take
     their condition numbers from the erased columns alone
     (:func:`_complement_conds`); every other case gathers the k x k
     submatrices of the generator for one batched SVD.  Singular
-    submatrices contribute the infinity sentinel, which dominates the
-    worst case; the worst subset is the first one reaching it.  The mean is
-    accumulated in subset order, so results do not depend on how the
-    subsets are split into stacks.
+    submatrices contribute the infinity sentinel; :func:`subset_stats`
+    reduces the values.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
     n = pts.size
-    if subset_size > n:
-        raise ValueError(f"subset size {subset_size} exceeds column count {n}")
-    if subset_size != k:
-        raise ValueError(
-            f"square submatrices require subset_size == k, got subset_size={subset_size}, k={k}"
-        )
     if norm not in ("spectral", "frobenius"):
         raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
-    complement = (
-        kind in ("chebyshev", "chebyshev_normalized")
-        and n - k < k
-        and np.array_equal(pts, cheb_grid(n).points)
-    )
-    if mode == "exhaustive":
-        idx = _lex_index(n, subset_size)
-    elif mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode requires an rng")
-        idx = _sample_index(n, subset_size, samples, rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
-
-    if complement:  # the generator is sqrt(n/2) D Q[:k]
-        d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0
+    idx = subset_index(n, k, samples, rng)
+    on_grid = np.array_equal(pts, cheb_grid(n).points)
+    if kind in ("chebyshev", "chebyshev_normalized") and n - k < k and on_grid:
+        d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0  # generator sqrt(n/2) D Q[:k]
         conds = _complement_conds(_grid_orthogonal(n), d0, idx, norm)
     else:
         conds = _subset_conds(build_generator(kind, k, pts), idx, norm)
-    worst_at = int(np.argmax(conds))
-    average = sum(conds.tolist()) / len(conds)
-    worst = _survivor_index(idx[worst_at : worst_at + 1], n, subset_size)[0] + 1
-    return CondStats(
-        worst=float(conds[worst_at]), average=average, worst_subset=SubsetSpec(n, tuple(worst))
-    )
+    return subset_stats(conds, idx, n, k)
 
 
 def theorem_bound_value(n: int, s: int) -> float:
@@ -377,7 +357,7 @@ def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[i
         )
     threshold = m * float(workers) ** (2 * (workers - m))
     bound_prob = 5.6 / float(workers) ** (workers - m)
-    idx = _survivor_index(_lex_index(workers, m), workers, m)
+    idx = subset_index(workers, m)
     violations = 0
     for _ in range(trials):
         h = gaussian_matrix(rng, m, workers)

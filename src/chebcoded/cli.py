@@ -245,14 +245,7 @@ def _cmd_bound(args) -> int:
         return 0
     if args.n is None or args.s is None:
         raise UsageError("bound needs --n and --s (or --gauss --m --workers)")
-    stats = subset_cond_stats(
-        "chebyshev",
-        args.n - args.s,
-        cheb_grid(args.n).points,
-        args.n - args.s,
-        norm="frobenius",
-        mode="exhaustive",
-    )
+    stats = subset_cond_stats("chebyshev", args.n - args.s, cheb_grid(args.n).points, "frobenius")
     bound = theorem_bound_value(args.n, args.s)
     _emit_lines(
         args,

@@ -93,9 +93,7 @@ def _check_generator_conditioning():
     g = build_generator("chebyshev_normalized", n, cheb_grid(n).points)
     assert np.max(np.abs(g @ g.T - (n / 2.0) * np.eye(n))) <= 1e-9
     for s in (1, 2):
-        stats = subset_cond_stats(
-            "chebyshev", 12 - s, cheb_grid(12).points, 12 - s, norm="frobenius"
-        )
+        stats = subset_cond_stats("chebyshev", 12 - s, cheb_grid(12).points, "frobenius")
         assert stats.worst <= 5.0 * theorem_bound_value(12, s)
 
 

@@ -2,13 +2,15 @@
 
 A trial encodes once, computes all P worker outputs once, and then
 replays erasure patterns: each survivor subset costs one solve against
-the survivor submatrix of the decode generator.  The fusion weights
-W_R = G_R^{-1} @ recovery come from the same :func:`chebcoded.linalg.solve`
-call the library decoders make, so they are bitwise those of
-:func:`chebcoded.matmul_codes.decode` and
-:func:`chebcoded.lagrange_codes.lagrange_decode`; only the estimate GEMM
-differs in shape (one product per chunk of subsets instead of one per
-decode).
+the survivor submatrix of the decode generator.  The subsets come from
+the pipeline the condition sweep uses (:mod:`chebcoded.cheb_vandermonde`):
+one index array, gathered a chunk at a time and reduced to one
+worst/average result.  The fusion weights W_R = G_R^{-1} @ recovery come
+from the same :func:`chebcoded.linalg.solve` call the library decoders
+make, so they are bitwise those of :func:`chebcoded.matmul_codes.decode`
+and :func:`chebcoded.lagrange_codes.lagrange_decode`; only the estimate
+GEMM differs in shape (one product per chunk of subsets instead of one
+per decode).
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
 one path.  :func:`parse_row` parses each row once against the schema
@@ -32,11 +34,12 @@ import numpy as np
 
 from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
-    CondStats,
+    SubsetStats,
     check_survivors,
-    iter_column_subsets,
-    sample_column_subsets,
     subset_cond_stats,
+    subset_index,
+    subset_stats,
+    survivor_chunks,
 )
 from .linalg import Rng, as_matrix, gaussian_matrix, matmul, solve
 from .poly_basis import cheb_grid
@@ -44,7 +47,6 @@ from .poly_basis import cheb_grid
 __all__ = [
     "CSV_HEADER",
     "FaultModel",
-    "TrialResult",
     "ExperimentRecord",
     "relative_error",
     "survivor_subsets",
@@ -82,11 +84,11 @@ _SEEDS_PER_POINT = 5
 
 
 def _int(value, key: str) -> int:
-    """An integer: bools and non-integral numbers (10.9, but not 10.0) are
-    rejected rather than truncated."""
+    """An integer: bools, strings and non-integral numbers (10.9, but not
+    10.0) are rejected rather than converted."""
     fraction = isinstance(value, float) and not value.is_integer()
     try:
-        if fraction or isinstance(value, (bool, np.bool_)):
+        if fraction or isinstance(value, (bool, np.bool_, str, bytes)):
             raise TypeError
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -154,13 +156,6 @@ class FaultModel:
         return self.mode
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    worst: float
-    average: float
-    worst_subset: tuple[int, ...]
-
-
 def relative_error(truth, estimate) -> float:
     """Frobenius-norm ratio ||truth - estimate||_F / ||truth||_F."""
     t = np.asarray(truth, dtype=np.float64)
@@ -173,23 +168,26 @@ def relative_error(truth, estimate) -> float:
     return float(np.linalg.norm(t - e)) / denom
 
 
-def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> list[tuple[int, ...]]:
-    """Materialize the subset list for a fault model, in replay order."""
+def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> np.ndarray:
+    """The fault model's survivor subsets as an index array in replay
+    order (:func:`chebcoded.cheb_vandermonde.subset_index`); a fixed fault
+    is one row of survivors."""
     if fault.mode == "fixed":
-        return [check_survivors(fault.subset, threshold, workers)]
-    if fault.mode == "random":
-        return sample_column_subsets(workers, threshold, fault.samples, Rng(fault.seed or 0))
-    return list(iter_column_subsets(workers, threshold))
+        return np.array([check_survivors(fault.subset, threshold, workers)]) - 1
+    samples = fault.samples if fault.mode == "random" else None
+    return subset_index(workers, threshold, samples, Rng(fault.seed or 0))
 
 
-def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets):
-    """Per-subset relative errors of the folded fusion map.
+def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndarray:
+    """Relative errors of the folded fusion map, one per row of the index
+    array ``idx``.
 
     For survivors R the estimate of every output entry is its eval row
     times the weights W_R = G_R^{-1} @ recovery; the weights are scattered
     back so the precomputed eval table can be reused unchanged.  Subsets
-    are replayed in chunks: one stacked :func:`chebcoded.linalg.solve`
-    gives the weights of the whole chunk and one GEMM its estimates.
+    are replayed in the chunks of :func:`chebcoded.cheb_vandermonde.survivor_chunks`:
+    one stacked :func:`chebcoded.linalg.solve` gives the weights of the
+    whole chunk and one GEMM its estimates.
     Singular lanes (NaN weights) and overflowing ones report the infinity
     sentinel.  Every lane is computed on its own, so results do not depend
     on the chunk size.
@@ -198,17 +196,11 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, subsets):
     k, q = recovery.shape
     entries = all_evals.shape[0]
     truth_norm = float(np.linalg.norm(truth_blocks))
-    idx = np.asarray(subsets, dtype=np.int64) - 1  # (total, k)
-
     floats_per_subset = k * k + 2 * k * q + workers * q + 2 * entries * q
-    chunk = max(1, min(len(subsets), REPLAY_CHUNK_FLOATS // max(1, floats_per_subset)))
-    errors = np.empty(len(subsets))
-    for start in range(0, len(subsets), chunk):
-        sel = idx[start : start + chunk]
-        errors[start : start + chunk] = _replay_chunk(
-            generator, recovery, all_evals, truth_blocks, truth_norm, sel
-        )
-    return errors.tolist()
+    chunks = survivor_chunks(idx, workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS)
+    return np.concatenate(
+        [_replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, s) for s in chunks]
+    )
 
 
 def _replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, sel):
@@ -227,38 +219,26 @@ def _replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, sel)
     return np.where(np.isfinite(errs), errs, np.inf)
 
 
-def _reduce_errors(errors, subsets) -> TrialResult:
-    worst = -math.inf
-    worst_at = 0
-    total = 0.0
-    for pos, err in enumerate(errors):
-        if err > worst:
-            worst = err
-            worst_at = pos
-        total += err
-    return TrialResult(worst=worst, average=total / len(errors), worst_subset=subsets[worst_at])
-
-
-def run_trial(config, a, b, fault: FaultModel) -> TrialResult:
+def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
     """Full matmul-code trial: list the survivor subsets (so that an
     over-budget fault fails before any work), encode, run all workers,
     replay erasures."""
     a = as_matrix(a)
     b = as_matrix(b)
     op = matmul_codes.decode_operator(config)
-    subsets = survivor_subsets(fault, config.workers, op.threshold)
+    idx = survivor_subsets(fault, config.workers, op.threshold)
     shards = matmul_codes.encode(config, a, b)
     outputs = [matmul_codes.worker_compute(s) for s in shards]
     all_evals = np.stack([o.product.ravel() for o in outputs], axis=1)
     truth_blocks = matmul_codes.truth_block_table(config, matmul(a, b))
-    errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, subsets)
-    return _reduce_errors(errors, subsets)
+    errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, idx)
+    return subset_stats(errors, idx, config.workers, op.threshold)
 
 
-def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> TrialResult:
+def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> SubsetStats:
     """Lagrange-coding trial; truth is f applied to the raw data points.
     The survivor subsets are listed first, as in :func:`run_trial`."""
-    subsets = survivor_subsets(fault, config.workers, config.threshold)
+    idx = survivor_subsets(fault, config.workers, config.threshold)
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
     truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
@@ -266,8 +246,8 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     anchor_block = gen[:, : config.m]
     # estimate (m, v) = anchors^T @ G_R^{-1}^T ... folded as in _replay_errors,
     # with output components playing the role of entries
-    errors = _replay_errors(gen, anchor_block, outs.T, truth.T, subsets)
-    return _reduce_errors(errors, subsets)
+    errors = _replay_errors(gen, anchor_block, outs.T, truth.T, idx)
+    return subset_stats(errors, idx, config.workers, config.threshold)
 
 
 @dataclass(frozen=True)
@@ -443,7 +423,7 @@ def _matmul_part(row: PlanRow):
     else:
         n1, n2, n3 = fit_dims(row.dims, config.m1, config.m2, config.m3)
 
-    def trial(seed: int) -> TrialResult:
+    def trial(seed: int) -> SubsetStats:
         rng = Rng(seed)
         a = gaussian_matrix(rng, n1, n2)
         b = gaussian_matrix(rng, n2, n3)
@@ -460,7 +440,7 @@ def _lagrange_part(row: PlanRow):
     config = lagrange_codes.LagrangeConfig(m=m, workers=workers, dim=dim, deg_f=deg_f)
     basis = "chebyshev" if row.scheme == "lagrange_chebyshev" else "monomial"
 
-    def trial(seed: int) -> TrialResult:
+    def trial(seed: int) -> SubsetStats:
         rng = Rng(seed)
         data = gaussian_matrix(rng, m, dim)
         f = lagrange_codes.linear_map(rng.normals(dim))
@@ -475,10 +455,9 @@ def _cond_part(row: PlanRow):
     k = row.P - row.delta if row.rows is None else row.rows
     norm = "frobenius" if row.norm == "frobenius" else "spectral"  # l2 is spectral
     points = cheb_grid(row.P).points
-    mode = "sampled" if row.fault.mode == "random" else "exhaustive"
 
-    def trial(seed: int) -> CondStats:
-        return subset_cond_stats(row.scheme, k, points, k, norm, mode, row.fault.samples, Rng(seed))
+    def trial(seed: int) -> SubsetStats:
+        return subset_cond_stats(row.scheme, k, points, norm, row.fault.samples, Rng(seed))
 
     return k, (k, row.P, 0), trial
 
@@ -498,7 +477,7 @@ def _records(row: PlanRow, threshold, worst, average, dims, subset_mode, error="
 
 def _run_row(row: PlanRow) -> list[ExperimentRecord]:
     """Run one parsed plan row: the per-kind part gives the threshold, dims
-    and a ``seed -> TrialResult | CondStats`` trial; the rest is shared."""
+    and a ``seed -> SubsetStats`` trial; the rest is shared."""
     if row.error is not None:
         raise row.error
     part = {"matmul": _matmul_part, "lagrange": _lagrange_part, "cond": _cond_part}[row.kind]

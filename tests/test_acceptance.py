@@ -165,7 +165,7 @@ def test_criterion_5_condition_bound():
     for n in (6, 8, 12, 16, 20, 24):
         pts = cheb_grid(n).points
         for s in (1, 2, 3):
-            stats = subset_cond_stats("chebyshev", n - s, pts, n - s, norm="frobenius")
+            stats = subset_cond_stats("chebyshev", n - s, pts, norm="frobenius")
             assert stats.worst <= 5.0 * theorem_bound_value(n, s), (n, s, stats.worst)
     for n in range(2, 31):
         for i in range(1, n + 1):

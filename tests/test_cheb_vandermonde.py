@@ -6,13 +6,13 @@ import pytest
 from chebcoded import cheb_vandermonde
 from chebcoded.cheb_vandermonde import (
     BudgetExceededError,
-    SubsetSpec,
     build_generator,
+    check_survivors,
     gaussian_bound_trial,
     iter_column_subsets,
     sample_column_subsets,
     subset_cond_stats,
-    take_columns,
+    subset_index,
     theorem_bound_value,
 )
 from chebcoded.linalg import Rng, cond
@@ -52,96 +52,79 @@ class TestBuildGenerator:
         assert np.max(np.abs(g @ g.T - (n / 2.0) * np.eye(n))) <= 1e-9
 
 
-class TestTakeColumns:
-    def test_all_columns_is_identity(self):
-        m = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(take_columns(m, SubsetSpec(4, (1, 2, 3, 4))), m)
-
-    def test_standard_basis_columns(self):
-        got = take_columns(np.eye(3), SubsetSpec(3, (1, 3)))
-        assert np.array_equal(got, np.eye(3)[:, [0, 2]])
-
-    def test_selection_order(self):
-        m = np.arange(15.0).reshape(3, 5)
-        got = take_columns(m, SubsetSpec(5, (2, 4, 5)))
-        assert np.array_equal(got, m[:, [1, 3, 4]])
-
-    def test_subset_width_must_match(self):
-        with pytest.raises(ValueError):
-            take_columns(np.eye(3), SubsetSpec(4, (1, 2)))
-
+class TestCheckSurvivors:
     def test_subset_validation(self):
-        with pytest.raises(ValueError):
-            SubsetSpec(3, (2, 1))
-        with pytest.raises(ValueError):
-            SubsetSpec(3, (0, 1))
-        with pytest.raises(ValueError):
-            SubsetSpec(3, (1, 4))
+        assert check_survivors((3, 1), 2, 3) == (1, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            check_survivors((0, 1), 2, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            check_survivors((1, 4), 2, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            check_survivors((2, 2), 2, 3)
 
 
 class TestSubsetCondStats:
     def test_chebyshev_square_grid_is_sqrt2(self):
         for n in (2, 5, 11):
-            stats = subset_cond_stats("chebyshev", n, cheb_grid(n).points, n, "spectral")
+            stats = subset_cond_stats("chebyshev", n, cheb_grid(n).points, "spectral")
             assert stats.worst == pytest.approx(math.sqrt(2), rel=1e-9)
             assert stats.average == pytest.approx(math.sqrt(2), rel=1e-9)
 
     def test_normalized_square_grid_is_one(self):
         for n in (2, 6, 13):
-            stats = subset_cond_stats(
-                "chebyshev_normalized", n, cheb_grid(n).points, n, "spectral"
-            )
+            stats = subset_cond_stats("chebyshev_normalized", n, cheb_grid(n).points, "spectral")
             assert stats.worst == pytest.approx(1.0, rel=1e-9)
 
     def test_monomial_three_point_example(self):
         pts = [0.0, 1.0, 2.0]
         for norm in ("spectral", "frobenius"):
-            stats = subset_cond_stats("monomial", 2, pts, 2, norm)
+            stats = subset_cond_stats("monomial", 2, pts, norm)
             conds = {
                 s: cond(build_generator("monomial", 2, pts)[:, np.array(s) - 1], norm)
                 for s in iter_column_subsets(3, 2)
             }
             assert stats.worst == pytest.approx(max(conds.values()), rel=1e-12)
             assert stats.average == pytest.approx(sum(conds.values()) / 3, rel=1e-12)
-            assert stats.worst_subset.indices == (2, 3)
+            assert stats.worst_subset == (2, 3)
 
     def test_ties_report_the_first_subset(self):
         # every 1x1 monomial submatrix is [1], so all subsets tie
-        stats = subset_cond_stats("monomial", 1, [0.1, 0.2, 0.3], 1)
+        stats = subset_cond_stats("monomial", 1, [0.1, 0.2, 0.3])
         assert stats.worst == stats.average == 1.0
-        assert stats.worst_subset.indices == (1,)
-
-    def test_rectangular_subsets_rejected(self):
-        with pytest.raises(ValueError):
-            subset_cond_stats("chebyshev", 3, cheb_grid(5).points, 4)
+        assert stats.worst_subset == (1,)
 
     def test_oversized_subset_rejected(self):
         with pytest.raises(ValueError):
-            subset_cond_stats("chebyshev", 6, cheb_grid(5).points, 6)
+            subset_cond_stats("chebyshev", 6, cheb_grid(5).points)
 
     def test_exhaustive_budget(self):
         with pytest.raises(BudgetExceededError):
-            subset_cond_stats("chebyshev", 25, cheb_grid(60).points, 25)
+            subset_cond_stats("chebyshev", 25, cheb_grid(60).points)
 
     def test_sampled_requires_rng(self):
         with pytest.raises(ValueError):
-            subset_cond_stats("chebyshev", 3, cheb_grid(8).points, 3, mode="sampled")
+            subset_cond_stats("chebyshev", 3, cheb_grid(8).points, samples=5)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampling_needs_a_positive_count(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            subset_cond_stats("chebyshev", 3, cheb_grid(8).points, samples=samples, rng=Rng(0))
+        with pytest.raises(ValueError, match="samples >= 1"):
+            subset_index(8, 3, samples, Rng(0))
 
     def test_sampled_matches_exhaustive_when_budget_covers(self):
         pts = cheb_grid(6).points
-        full = subset_cond_stats("chebyshev", 4, pts, 4, "frobenius")
-        sampled = subset_cond_stats(
-            "chebyshev", 4, pts, 4, "frobenius", mode="sampled", samples=100, rng=Rng(0)
-        )
+        full = subset_cond_stats("chebyshev", 4, pts, "frobenius")
+        sampled = subset_cond_stats("chebyshev", 4, pts, "frobenius", samples=100, rng=Rng(0))
         assert sampled.worst == full.worst
         assert sampled.average == pytest.approx(full.average, rel=1e-12)
 
     @pytest.mark.parametrize("kind,norm", [("chebyshev", "frobenius"), ("monomial", "spectral")])
     def test_chunking_does_not_change_results(self, monkeypatch, kind, norm):
         pts = cheb_grid(12).points
-        one = subset_cond_stats(kind, 9, pts, 9, norm)
+        one = subset_cond_stats(kind, 9, pts, norm)
         monkeypatch.setattr(cheb_vandermonde, "COND_CHUNK_BYTES", 5 * 8 * 9 * 9)
-        many = subset_cond_stats(kind, 9, pts, 9, norm)
+        many = subset_cond_stats(kind, 9, pts, norm)
         assert one.worst == many.worst
         assert one.average == many.average
         assert one.worst_subset == many.worst_subset
@@ -150,7 +133,7 @@ class TestSubsetCondStats:
         # every k=27 submatrix of the 30-point grid; a Gram-matrix
         # eigensolver saturated these near 2.5e7-2.8e7
         pts = cheb_grid(30).points
-        stats = subset_cond_stats("monomial", 27, pts, 27, "spectral")
+        stats = subset_cond_stats("monomial", 27, pts, "spectral")
         gen = build_generator("monomial", 27, pts)
         subsets = np.asarray(list(iter_column_subsets(30, 27))) - 1
         oracle = np.linalg.cond(gen.T[subsets].transpose(0, 2, 1), 2)
@@ -158,7 +141,7 @@ class TestSubsetCondStats:
         assert stats.worst == pytest.approx(oracle.max(), rel=1e-6)
         assert stats.average == pytest.approx(oracle.mean(), rel=1e-6)
         # the grid is symmetric, so the two end blocks tie up to rounding
-        assert stats.worst_subset.indices in (tuple(range(1, 28)), tuple(range(4, 31)))
+        assert stats.worst_subset in (tuple(range(1, 28)), tuple(range(4, 31)))
 
 
 class TestSampling:
@@ -175,7 +158,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("n,size", [(6, 0), (6, 2), (6, 3), (6, 4), (6, 6), (10, 7)])
     def test_index_arrays_hold_the_smaller_side_in_survivor_order(self, n, size):
-        lex = cheb_vandermonde._lex_index(n, size)
+        lex = subset_index(n, size)
         assert lex.shape == (math.comb(n, size), min(size, n - size))
         survivors = cheb_vandermonde._survivor_index(lex, n, size) + 1
         assert [tuple(r) for r in survivors.tolist()] == list(iter_column_subsets(n, size))
@@ -295,7 +278,7 @@ class TestComplementPath:
     def test_selection(self, monkeypatch, kind, n, k, points, direct):
         calls = _counting_cond(monkeypatch)
         pts = cheb_grid(n).points * (points or 1.0)
-        stats = subset_cond_stats(kind, k, pts, k, "frobenius")
+        stats = subset_cond_stats(kind, k, pts, "frobenius")
         assert bool(calls) == direct
         monkeypatch.undo()
         gen = build_generator(kind, k, pts)
@@ -308,9 +291,9 @@ class TestComplementPath:
     @pytest.mark.parametrize("norm", ["spectral", "frobenius"])
     def test_matches_direct_on_plan_rows(self, n, s, norm):
         k = n - s
-        lex = cheb_vandermonde._lex_index(n, k)
+        lex = subset_index(n, k)
         if len(lex) > 2000:  # the end blocks, the worst subsets, and a sample
-            sample = cheb_vandermonde._sample_index(n, k, 64, Rng(n))
+            sample = subset_index(n, k, 64, Rng(n))
             lex = np.concatenate([lex[:4], lex[-4:], sample])
         for kind in ("chebyshev", "chebyshev_normalized"):
             direct = _direct_conds(kind, n, k, lex, norm)
@@ -323,7 +306,7 @@ class TestComplementPath:
     @pytest.mark.parametrize("n,s", [(5, 1), (7, 3), (10, 2), (12, 5)])
     def test_any_orthogonal_matrix(self, d0, n, s):
         q, _ = np.linalg.qr(np.random.default_rng(n + s).standard_normal((n, n)))
-        erased = cheb_vandermonde._sample_index(n, n - s, 30, Rng(s))
+        erased = subset_index(n, n - s, 30, Rng(s))
         scale = np.ones(n - s)
         scale[0] = d0
         survivors = cheb_vandermonde._survivor_index(erased, n, n - s)
@@ -356,11 +339,11 @@ class TestComplementPath:
 
     def test_in_order_mean_and_first_worst_subset(self):
         n, k = 10, 7
-        stats = subset_cond_stats("chebyshev", k, cheb_grid(n).points, k, "spectral")
-        lex = cheb_vandermonde._lex_index(n, k)
+        stats = subset_cond_stats("chebyshev", k, cheb_grid(n).points, "spectral")
+        lex = subset_index(n, k)
         survivors = cheb_vandermonde._survivor_index(lex, n, k) + 1
         conds = _complement("chebyshev", n, lex, "spectral")
-        assert stats.worst_subset.indices == tuple(survivors[int(np.argmax(conds))])
+        assert stats.worst_subset == tuple(survivors[int(np.argmax(conds))])
         assert stats.average == sum(conds.tolist()) / len(conds)
 
 
@@ -382,7 +365,7 @@ class TestTheoremBound:
 
     @pytest.mark.parametrize("n,s", [(8, 1), (12, 2), (16, 1)])
     def test_dominates_measured_worst_case(self, n, s):
-        stats = subset_cond_stats("chebyshev", n - s, cheb_grid(n).points, n - s, "frobenius")
+        stats = subset_cond_stats("chebyshev", n - s, cheb_grid(n).points, "frobenius")
         assert stats.worst <= 5.0 * theorem_bound_value(n, s)
 
 
@@ -395,8 +378,8 @@ class TestGeneratorComparisons:
     @pytest.mark.parametrize("n,s", AT_SCALE)
     def test_chebyshev_beats_monomial_at_scale(self, n, s):
         pts = cheb_grid(n).points
-        cheb = subset_cond_stats("chebyshev", n - s, pts, n - s, "frobenius")
-        mono = subset_cond_stats("monomial", n - s, pts, n - s, "frobenius")
+        cheb = subset_cond_stats("chebyshev", n - s, pts, "frobenius")
+        mono = subset_cond_stats("monomial", n - s, pts, "frobenius")
         assert cheb.worst < mono.worst
 
     @pytest.mark.parametrize(

@@ -422,10 +422,10 @@ class TestCondOracle:
         oracle = {}
         for col, norm in enumerate(("spectral", "frobenius")):
             for stats in (
-                subset_cond_stats(kind, k, grid, k, norm),
-                subset_cond_stats(kind, k, grid, k, norm, "sampled", 1, Rng(n + s)),
+                subset_cond_stats(kind, k, grid, norm),
+                subset_cond_stats(kind, k, grid, norm, 1, Rng(n + s)),
             ):
-                subset = stats.worst_subset.indices
+                subset = stats.worst_subset
                 if subset not in oracle:
                     with mpmath.workdps(60):
                         oracle[subset] = _mpmath_exact_conds(kind, n, subset, mpmath)

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebcoded import cli, lagrange_codes, linalg, matmul_codes, sim_harness
-from chebcoded.cheb_vandermonde import BudgetExceededError
+from chebcoded import cheb_vandermonde, cli, lagrange_codes, linalg, matmul_codes, sim_harness
+from chebcoded.cheb_vandermonde import BudgetExceededError, survivor_chunks
 from chebcoded.linalg import Rng, gaussian_matrix, matmul
 from chebcoded.matmul_codes import decode, encode, scheme_config, worker_compute
 from chebcoded.sim_harness import (
@@ -30,6 +30,13 @@ from chebcoded.sim_harness import (
     sweep,
     table1_plan,
 )
+
+
+def _survivors(fault, workers, threshold):
+    """The 1-based survivor sets of a fault model, in replay order."""
+    idx = survivor_subsets(fault, workers, threshold)
+    (rows,) = survivor_chunks(idx, workers, threshold, 1, len(idx))
+    return [tuple(row) for row in (rows + 1).tolist()]
 
 
 class TestRelativeError:
@@ -100,7 +107,8 @@ class TestFaultModel:
         assert calls == []
 
     def test_fixed_survivors_validated(self):
-        assert survivor_subsets(FaultModel(mode="fixed", subset=(7, 2, 4)), 7, 3) == [(2, 4, 7)]
+        fixed = survivor_subsets(FaultModel(mode="fixed", subset=(7, 2, 4)), 7, 3)
+        assert fixed.tolist() == [[1, 3, 6]]
         with pytest.raises(ValueError, match="exactly 3 survivors"):
             survivor_subsets(FaultModel(mode="fixed", subset=(2, 4)), 7, 3)
         with pytest.raises(ValueError, match="out of range"):
@@ -172,7 +180,7 @@ class TestRunTrial:
         fault = FaultModel(mode="exhaustive")
         run_trial(config, self.a, self.b, fault)
         (chunk,) = weights  # every subset in one stacked solve
-        subsets = survivor_subsets(fault, workers, matmul_codes.recovery_threshold(config))
+        subsets = _survivors(fault, workers, matmul_codes.recovery_threshold(config))
         outputs = [worker_compute(s) for s in encode(config, self.a, self.b)]
         for pos in (0, len(subsets) // 2, len(subsets) - 1):
             weights.clear()
@@ -216,7 +224,7 @@ class TestLagrangeTrial:
         run_lagrange_trial(cfg, f, data, FaultModel(mode="exhaustive"))
         (chunk,) = weights
         outs = lagrange_codes.worker_outputs(cfg, f, lagrange_codes.lagrange_encode(cfg, data))
-        for pos, subset in enumerate(survivor_subsets(FaultModel(mode="exhaustive"), 7, 4)):
+        for pos, subset in enumerate(_survivors(FaultModel(mode="exhaustive"), 7, 4)):
             weights.clear()
             lagrange_codes.lagrange_decode(cfg, f, subset, outs[np.asarray(subset) - 1])
             assert np.array_equal(weights[0], chunk[pos])
@@ -367,6 +375,8 @@ class TestSweep:
             (dict(VALID, fault="exhaustive"), ["'fault'"]),
             (dict(VALID, P=None), ["'P'"]),
             (dict(VALID, P="x"), ["'P'"]),
+            (dict(COND, P="10", delta="2", seeds=["0"]), ["'P'", "'10'"]),
+            (dict(COND, fault={"mode": "random", "samples": "5"}), ["'samples'", "'5'"]),
             (dict(VALID, seeds=5), ["'seeds'"]),
             (dict(VALID, dims=5), ["'dims'"]),
             (dict(COND, P=10.9, delta=2.5), ["'P'", "10.9"]),
@@ -389,7 +399,8 @@ class TestSweep:
         ids=[
             "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
             "cond-threshold", "cond-fixed-fault", "row-not-object", "fault-not-object",
-            "P-null", "P-string", "seeds-int", "dims-int", "P-fraction", "delta-fraction",
+            "P-null", "P-string", "P-numeric-string", "samples-numeric-string", "seeds-int",
+            "dims-int", "P-fraction", "delta-fraction",
             "seeds-fraction", "P-bool", "misspelled-key", "misspelled-fault-key",
             "matmul-deg_f", "matmul-norm", "lagrange-dims", "cond-dims", "exhaustive-samples",
             "random-subset", "metrics-empty", "metric-alias", "matdot-n",
@@ -401,6 +412,32 @@ class TestSweep:
         for text in named:
             assert text in bad.error
         assert good.error == "" and good.value <= 1e-9
+
+    def test_cond_and_replay_rows_visit_the_same_subsets(self, monkeypatch):
+        """A sampled cond row and a sampled matmul row with the same P,
+        threshold, samples and seed gather the same survivor chunks."""
+        seen = {"cond": [], "replay": []}
+        real = cheb_vandermonde.survivor_chunks
+
+        def recording(path):
+            def chunks(*args):
+                for chunk in real(*args):
+                    seen[path].append(chunk)
+                    yield chunk
+
+            return chunks
+
+        monkeypatch.setattr(cheb_vandermonde, "survivor_chunks", recording("cond"))
+        monkeypatch.setattr(sim_harness, "survivor_chunks", recording("replay"))
+        shared = {"P": 12, "delta": 3, "fault": {"mode": "random", "samples": 40}, "seeds": [5]}
+        rows = [
+            dict(shared, scheme="monomial", metrics=["cond_worst"]),
+            dict(shared, scheme="matdot", dims=[8, 8, 8], metrics=["relerr_worst"]),
+        ]
+        assert [r.error for r in sweep(rows)] == ["", ""]
+        cond, replay = (np.concatenate(seen[path]) for path in ("cond", "replay"))
+        assert cond.shape == (40, 9) and len(np.unique(cond, axis=0)) == 40
+        assert np.array_equal(cond, replay)
 
     def test_every_built_in_row_parses(self, monkeypatch, capsys):
         rows = [
