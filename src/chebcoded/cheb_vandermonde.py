@@ -1,8 +1,9 @@
 """Generator matrices for polynomial codes and their conditioning.
 
-Builders for the monomial Vandermonde, the Chebyshev-Vandermonde matrix
-(rows T_0..T_{k-1} at a point vector) and its normalized variant (first
-row divided by sqrt(2)); the one survivor-subset pipeline of the
+The evaluation-point rule both code families share; builders for the
+monomial Vandermonde, the Chebyshev-Vandermonde matrix (rows
+T_0..T_{k-1} at a point vector) and its normalized variant (first row
+divided by sqrt(2)); the one survivor-subset pipeline of the
 condition sweep and the error replay (subsets as index arrays,
 exhaustive or sampled, gathered a chunk at a time and reduced to a
 worst/average pair); worst/average condition numbers over square column
@@ -27,6 +28,7 @@ __all__ = [
     "EXHAUSTIVE_SUBSET_LIMIT",
     "BudgetExceededError",
     "check_survivors",
+    "evaluation_points",
     "build_generator",
     "iter_column_subsets",
     "subset_index",
@@ -66,6 +68,21 @@ def check_survivors(survivors, size: int, workers: int) -> tuple[int, ...]:
     if surv and (surv[0] < 1 or surv[-1] > workers):
         raise ValueError(f"survivor indices {surv} out of range [1, {workers}]")
     return surv
+
+
+def evaluation_points(workers: int, points=None) -> np.ndarray:
+    """A code's read-only evaluation points: ``points`` as a flat float64
+    copy, one distinct point per worker, or cheb_grid(workers) if None."""
+    if points is None:
+        pts = cheb_grid(workers).points.copy()
+    else:
+        pts = np.array(points, dtype=np.float64).ravel()
+    if pts.size != workers:
+        raise ValueError(f"need {workers} evaluation points, got {pts.size}")
+    if np.unique(pts).size != pts.size:
+        raise ValueError("evaluation points must be pairwise distinct")
+    pts.setflags(write=False)
+    return pts
 
 
 def build_generator(kind: str, k: int, points) -> np.ndarray:

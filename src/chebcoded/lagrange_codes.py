@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator, check_survivors
+from .cheb_vandermonde import build_generator, check_survivors, evaluation_points
 from .linalg import as_matrix, solve
-from .poly_basis import cheb_grid
 
 __all__ = [
     "LagrangeConfig",
@@ -53,16 +52,7 @@ class LagrangeConfig:
             raise ValueError(f"map degree must be at least 1, got {self.deg_f}")
         if self.m > self.workers:
             raise ValueError(f"m={self.m} data points exceed {self.workers} workers")
-        if self.points is None:
-            pts = cheb_grid(self.workers).points.copy()
-        else:
-            pts = np.array(self.points, dtype=np.float64).ravel()
-        if pts.size != self.workers:
-            raise ValueError(f"need {self.workers} evaluation points, got {pts.size}")
-        if np.unique(pts).size != pts.size:
-            raise ValueError("evaluation points must be pairwise distinct")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", evaluation_points(self.workers, self.points))
         if self.threshold > self.workers:
             raise ValueError(
                 f"threshold K={self.threshold} exceeds worker count {self.workers}"

@@ -6,7 +6,7 @@ and a seeded counter-based Gaussian source.
 Matrices are plain 2-D float64 ndarrays (``solve`` and ``cond`` also take
 stacks of them), validated finite at the public entry points and treated
 as immutable once built.  ``Rng`` is the only stateful object here; it is
-single-owner, and independent child streams come from :meth:`Rng.spawn`.
+single-owner.
 """
 
 from __future__ import annotations
@@ -241,8 +241,7 @@ class Rng:
 
     Output i of a stream with seed s is mix64(s + (i+1)*GOLDEN), so
     identical seeds replay identical sequences on any platform.  A single
-    Rng must not be shared across threads; parallel users take child
-    streams via :meth:`spawn` (child seed = mix64(seed XOR mix64(key + GOLDEN))).
+    Rng must not be shared across threads.
     """
 
     def __init__(self, seed: int):
@@ -275,20 +274,6 @@ class Rng:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:count]
-
-    def integers(self, count: int, bound: int) -> np.ndarray:
-        """i.i.d. integers on [0, bound); floor of uniform * bound."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
-        vals = np.floor(self.uniforms(count) * bound).astype(np.int64)
-        return np.minimum(vals, bound - 1)
-
-    def spawn(self, key: int) -> "Rng":
-        """Independent child stream for the given key."""
-        with np.errstate(over="ignore"):
-            k = _mix64(np.uint64(int(key) & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-            child = _mix64(np.uint64(self.seed) ^ k)
-        return Rng(int(child))
 
 
 def gaussian_matrix(rng: Rng, rows: int, cols: int) -> np.ndarray:

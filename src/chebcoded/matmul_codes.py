@@ -1,15 +1,17 @@
 """Coded matrix multiplication schemes.
 
-Five families, each exposing encode / worker_compute / decode and a
-recovery threshold:
+Five families, each one (rows, inner, cols) block grid: A is cut into
+rows x inner blocks, B into inner x cols and the product into rows x
+cols (``_GRID`` names each axis's split, :func:`block_grid` reads it).
+Each exposes encode / worker_compute / decode and a recovery threshold:
 
-* ``matdot``          - inner split, monomial basis, threshold 2m-1
-* ``orthomatdot``     - inner split, normalized Chebyshev basis, threshold
-                        2m-1, quadrature recombination at the fusion step
-* ``polynomial``      - outer split, monomial basis, threshold m*n
-* ``orthopoly``       - outer split, Chebyshev basis, threshold m*n,
+* ``matdot``          - grid (1, m, 1), monomial basis, threshold 2m-1
+* ``orthomatdot``     - grid (1, m, 1), normalized Chebyshev basis,
+                        threshold 2m-1, quadrature recombination at fusion
+* ``polynomial``      - grid (m, 1, n), monomial basis, threshold m*n
+* ``orthopoly``       - grid (m, 1, n), Chebyshev basis, threshold m*n,
                         product-identity unmixing via the H matrix
-* ``gen_orthomatdot`` - block grid (m1, m2, m3) trading communication for
+* ``gen_orthomatdot`` - grid (m1, m2, m3) trading communication for
                         threshold, Chebyshev basis with halved T_0
 
 Evaluation points default to the Chebyshev grid of the worker count,
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator, check_survivors
+from .cheb_vandermonde import build_generator, check_survivors, evaluation_points
 from .linalg import as_matrix, invert, matmul, solve
 from .poly_basis import cheb_grid, chebyshev_values
 
@@ -39,6 +41,7 @@ __all__ = [
     "WorkerOutput",
     "HMap",
     "DecodeOperator",
+    "block_grid",
     "recovery_threshold",
     "encode",
     "worker_compute",
@@ -51,8 +54,18 @@ __all__ = [
     "output_coefficient_index",
 ]
 
-FAMILIES = ("matdot", "orthomatdot", "polynomial", "orthopoly", "gen_orthomatdot")
 SPLITS = ("m", "n", "m1", "m2", "m3")
+
+# The split named on each axis of a family's (rows, inner, cols) block
+# grid: A is cut rows x inner, B inner x cols, the product rows x cols.
+_GRID = {
+    "matdot": (None, "m", None),
+    "orthomatdot": (None, "m", None),
+    "polynomial": ("m", None, "n"),
+    "orthopoly": ("m", None, "n"),
+    "gen_orthomatdot": ("m1", "m2", "m3"),
+}
+FAMILIES = tuple(_GRID)
 
 _INNER = ("matdot", "orthomatdot")
 _OUTER = ("polynomial", "orthopoly")
@@ -66,10 +79,9 @@ _DECODE_CHUNK = 8192
 class SchemeConfig:
     """Scheme descriptor: family tag, split counts, worker count, points.
 
-    ``m`` is the inner split for the matdot families; ``(m, n)`` the
-    row/column splits for the polynomial families; ``(m1, m2, m3)`` the
-    block grid for the generalized family.  ``points`` must be distinct
-    reals in [-1, 1], one per worker; omitted means cheb_grid(workers).
+    A family takes exactly the splits its ``_GRID`` entry names.
+    ``points`` must be distinct reals in [-1, 1], one per worker; omitted
+    means cheb_grid(workers).
     """
 
     family: str
@@ -86,29 +98,14 @@ class SchemeConfig:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.workers < 1:
             raise ValueError(f"worker count must be positive, got {self.workers}")
-        needed = {
-            "matdot": ("m",),
-            "orthomatdot": ("m",),
-            "polynomial": ("m", "n"),
-            "orthopoly": ("m", "n"),
-            "gen_orthomatdot": ("m1", "m2", "m3"),
-        }[self.family]
+        needed = [name for name in _GRID[self.family] if name]
         for name in SPLITS:
             value = getattr(self, name)
             if name not in needed and value is not None:
                 raise ValueError(f"{self.family} takes no split {name}, only {', '.join(needed)}")
             if name in needed and (value is None or value < 1):
                 raise ValueError(f"{self.family} needs positive split count {name}, got {value}")
-        if self.points is None:
-            pts = cheb_grid(self.workers).points.copy()
-        else:
-            pts = np.array(self.points, dtype=np.float64).ravel()
-        if pts.size != self.workers:
-            raise ValueError(f"need {self.workers} evaluation points, got {pts.size}")
-        if np.unique(pts).size != pts.size:
-            raise ValueError("evaluation points must be pairwise distinct")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", evaluation_points(self.workers, self.points))
         k = recovery_threshold(self)
         if self.workers < k:
             raise ValueError(
@@ -148,6 +145,12 @@ class HMap:
     h: np.ndarray
 
 
+def block_grid(config: SchemeConfig) -> tuple[int, int, int]:
+    """Block counts (rows, inner, cols) the family cuts A (rows x inner)
+    and B (inner x cols) into; an axis the family does not split counts 1."""
+    return tuple(1 if name is None else getattr(config, name) for name in _GRID[config.family])
+
+
 def recovery_threshold(config: SchemeConfig) -> int:
     """Smallest worker-output count that always suffices to decode."""
     if config.family in _INNER:
@@ -165,25 +168,16 @@ def recovery_threshold(config: SchemeConfig) -> int:
     )
 
 
-def _split_cols(mat: np.ndarray, parts: int, dim_name: str) -> np.ndarray:
-    if mat.shape[1] % parts:
-        raise ValueError(f"{dim_name}={mat.shape[1]} is not divisible by split count {parts}")
-    return np.stack(np.hsplit(mat, parts))
-
-
-def _split_rows(mat: np.ndarray, parts: int, dim_name: str) -> np.ndarray:
-    if mat.shape[0] % parts:
-        raise ValueError(f"{dim_name}={mat.shape[0]} is not divisible by split count {parts}")
-    return np.stack(np.vsplit(mat, parts))
-
-
 def _split_grid(
     mat: np.ndarray, row_parts: int, col_parts: int, row_dim: str, col_dim: str
 ) -> np.ndarray:
     """(row_parts*col_parts, br, bc) stack, block (i, j) at index i*col_parts + j."""
-    rows = _split_rows(mat, row_parts, row_dim)
-    out = [blk for row_block in rows for blk in _split_cols(row_block, col_parts, col_dim)]
-    return np.stack(out)
+    for size, parts, dim in zip(mat.shape, (row_parts, col_parts), (row_dim, col_dim)):
+        if size % parts:
+            raise ValueError(f"{dim}={size} is not divisible by split count {parts}")
+    br, bc = mat.shape[0] // row_parts, mat.shape[1] // col_parts
+    blocks = mat.reshape(row_parts, br, col_parts, bc).transpose(0, 2, 1, 3)
+    return blocks.reshape(row_parts * col_parts, br, bc)
 
 
 def gen_encoding_exponents(config: SchemeConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -239,26 +233,15 @@ def _encoding_tables(config: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     return _halved_t0_values(a_exps, pts), _halved_t0_values(b_exps, pts)
 
 
-def _input_blocks(config: SchemeConfig, a: np.ndarray, b: np.ndarray):
-    """Block stacks ordered to match the encoding tables."""
-    if config.family in _INNER:
-        return _split_cols(a, config.m, "N2"), _split_rows(b, config.m, "N2")
-    if config.family in _OUTER:
-        return _split_rows(a, config.m, "N1"), _split_cols(b, config.n, "N3")
-    # gen: A blocks (i, j) with j fastest, B blocks (k, l) with l fastest,
-    # matching gen_encoding_exponents
-    a_blocks = _split_grid(a, config.m1, config.m2, "N1", "N2")
-    b_blocks = _split_grid(b, config.m2, config.m3, "N2", "N3")
-    return a_blocks, b_blocks
-
-
 def encode(config: SchemeConfig, a, b) -> list[WorkerShard]:
     """Evaluate the encoding polynomials at every worker's point."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} times {b.shape}")
-    a_blocks, b_blocks = _input_blocks(config, a, b)
+    rows, inner, cols = block_grid(config)
+    a_blocks = _split_grid(a, rows, inner, "N1", "N2")
+    b_blocks = _split_grid(b, inner, cols, "N2", "N3")
     table_a, table_b = _encoding_tables(config)
     a_evals = np.tensordot(table_a, a_blocks, axes=(0, 0))
     b_evals = np.tensordot(table_b, b_blocks, axes=(0, 0))
@@ -341,40 +324,23 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
     return DecodeOperator(threshold=k, generator=gen, recovery=rec)
 
 
-def _block_grid(config: SchemeConfig) -> tuple[int, int]:
-    """Output block grid (rows, cols); block (i, j) sits at column j*rows + i
-    of the recovery map."""
-    if config.family in _INNER:
-        return 1, 1
-    if config.family in _OUTER:
-        return config.m, config.n
-    return config.m1, config.m3
-
-
 def assemble_blocks(config: SchemeConfig, blocks: np.ndarray, block_shape) -> np.ndarray:
-    """Assemble per-entry block values (entries x q) into the full product."""
+    """Assemble per-entry block values (entries x q) into the full product,
+    in C order (norms over it sum in memory order); output block (i, j) is
+    column j*rows + i."""
     br, bc = block_shape
-    grid_r, grid_c = _block_grid(config)
-    tile = blocks.reshape(br, bc, grid_r * grid_c)
-    out = np.empty((br * grid_r, bc * grid_c))
-    for gj in range(grid_c):
-        for gi in range(grid_r):
-            out[gi * br : (gi + 1) * br, gj * bc : (gj + 1) * bc] = tile[:, :, gj * grid_r + gi]
-    return out
+    rows, _, cols = block_grid(config)
+    tiles = blocks.reshape(br, bc, cols, rows).transpose(3, 0, 2, 1)
+    return np.ascontiguousarray(tiles.reshape(rows * br, cols * bc))
 
 
 def truth_block_table(config: SchemeConfig, product: np.ndarray) -> np.ndarray:
     """Inverse of :func:`assemble_blocks`: slice a true product into the
-    (entries x q) layout the decoder produces."""
-    grid_r, grid_c = _block_grid(config)
-    br = product.shape[0] // grid_r
-    bc = product.shape[1] // grid_c
-    cols = [
-        product[gi * br : (gi + 1) * br, gj * bc : (gj + 1) * bc].ravel()
-        for gj in range(grid_c)
-        for gi in range(grid_r)
-    ]
-    return np.stack(cols, axis=1)
+    (entries x q) layout the decoder produces, in C order."""
+    rows, _, cols = block_grid(config)
+    n1, n3 = product.shape
+    tiles = product.reshape(rows, n1 // rows, cols, n3 // cols).transpose(1, 3, 2, 0)
+    return np.ascontiguousarray(tiles.reshape((n1 // rows) * (n3 // cols), cols * rows))
 
 
 def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
@@ -392,9 +358,12 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     by_index = {int(o.worker_index): o for o in outputs}
     if len(by_index) != len(outputs) or set(by_index) != set(surv):
         raise ValueError("outputs must carry exactly one result per survivor index")
-    ordered = [by_index[s] for s in surv]
-    block_shape = ordered[0].product.shape
-    flat = [as_matrix(o.product).ravel() for o in ordered]
+    products = [as_matrix(by_index[s].product) for s in surv]
+    block_shape = products[0].shape
+    for s, p in zip(surv, products):
+        if p.shape != block_shape:
+            raise ValueError(f"worker {s}'s product is {p.shape}, worker {surv[0]}'s {block_shape}")
+    flat = [p.ravel() for p in products]
 
     op = decode_operator(config)
     weights = solve(op.generator[:, np.asarray(surv, dtype=np.int64) - 1], op.recovery)

@@ -280,8 +280,11 @@ def records_to_csv(records) -> str:
 
 
 def records_to_json(records) -> str:
+    """Records as a strict JSON list (RFC 8259): a non-finite value is null."""
     rows = [{("P" if k == "workers" else k): getattr(r, k) for k in _FIELDS} for r in records]
-    return json.dumps(rows, indent=2) + "\n"
+    for row in rows:
+        row["value"] = row["value"] if math.isfinite(row["value"]) else None
+    return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 def write_records(records, out=None, fmt: str = "csv") -> str:
@@ -416,12 +419,7 @@ def matmul_config_for(scheme: str, workers: int, delta: int, row: dict | None = 
 def _matmul_part(row: PlanRow):
     given = {key: value for key, value in vars(row).items() if value is not None}
     config = matmul_config_for(row.scheme, row.P, row.delta, given)
-    if config.family in ("matdot", "orthomatdot"):
-        n1, n2, n3 = fit_dims(row.dims, inner_split=config.m)
-    elif config.family in ("polynomial", "orthopoly"):
-        n1, n2, n3 = fit_dims(row.dims, row_split=config.m, col_split=config.n)
-    else:
-        n1, n2, n3 = fit_dims(row.dims, config.m1, config.m2, config.m3)
+    n1, n2, n3 = fit_dims(row.dims, *matmul_codes.block_grid(config))
 
     def trial(seed: int) -> SubsetStats:
         rng = Rng(seed)

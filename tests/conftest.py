@@ -3,13 +3,6 @@ import pytest
 ACCEPTANCE_RESULTS = []
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "criterion(name): acceptance criterion reported in the terminal summary"
-    )
-    config.addinivalue_line("markers", "slow: multi-minute experiment reproduction")
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

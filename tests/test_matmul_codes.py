@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from chebcoded.linalg import Rng, gaussian_matrix, matmul, solve
 from chebcoded.matmul_codes import (
     FAMILIES,
+    WorkerOutput,
+    assemble_blocks,
+    block_grid,
     build_h_map,
     output_coefficient_index,
     decode,
@@ -16,6 +19,7 @@ from chebcoded.matmul_codes import (
     gen_encoding_exponents,
     recovery_threshold,
     scheme_config,
+    truth_block_table,
     worker_compute,
 )
 from chebcoded.cheb_vandermonde import build_generator
@@ -93,6 +97,16 @@ class TestEncode:
         cfg = scheme_config("matdot", 6, m=2)
         with pytest.raises(ValueError, match="N2"):
             encode(cfg, np.ones((4, 5)), np.ones((5, 4)))
+        # one non-dividing axis at a time: N1 and N3 of an outer family
+        # (grid (3, 1, 2)), N2 of the generalized family (grid (2, 3, 2))
+        cfg = scheme_config("orthopoly", 7, m=3, n=2)
+        with pytest.raises(ValueError, match="N1=4 is not divisible by split count 3"):
+            encode(cfg, np.ones((4, 5)), np.ones((5, 4)))
+        with pytest.raises(ValueError, match="N3=5 is not divisible by split count 2"):
+            encode(cfg, np.ones((6, 4)), np.ones((4, 5)))
+        cfg = scheme_config("gen_orthomatdot", 25, m1=2, m2=3, m3=2)
+        with pytest.raises(ValueError, match="N2=4 is not divisible by split count 3"):
+            encode(cfg, np.ones((4, 4)), np.ones((4, 4)))
 
     def test_inner_dimension_mismatch(self):
         cfg = scheme_config("matdot", 6, m=2)
@@ -108,6 +122,38 @@ class TestEncode:
         shards = encode(cfg, np.ones((4, 6)), np.ones((6, 8)))
         assert shards[0].a_shard.shape == (2, 3)
         assert shards[0].b_shard.shape == (3, 4)
+
+
+# One case per family with non-square blocks and, where the family splits
+# both output axes, different row and column splits.
+GRID_CASES = [
+    ("matdot", dict(m=2), 4, (1, 2, 1)),
+    ("orthomatdot", dict(m=3), 6, (1, 3, 1)),
+    ("polynomial", dict(m=2, n=3), 6, (2, 1, 3)),
+    ("orthopoly", dict(m=3, n=2), 7, (3, 1, 2)),
+    ("gen_orthomatdot", dict(m1=2, m2=3, m3=2), 25, (2, 3, 2)),
+]
+
+
+class TestBlockGrid:
+    @pytest.mark.parametrize("family,splits,workers,grid", GRID_CASES)
+    def test_grid_of_each_family(self, family, splits, workers, grid):
+        assert block_grid(scheme_config(family, workers, **splits)) == grid
+
+    @pytest.mark.parametrize("family,splits,workers,grid", GRID_CASES)
+    def test_truth_table_assembles_back_bitwise(self, family, splits, workers, grid):
+        cfg = scheme_config(family, workers, **splits)
+        rows, _, cols = grid
+        br, bc = 3, 5
+        product = gaussian_matrix(Rng(4), rows * br, cols * bc)
+        table = truth_block_table(cfg, product)
+        assert table.shape == (br * bc, rows * cols)
+        # output block (i, j) is column j*rows + i, as in the recovery map
+        for i in range(rows):
+            for j in range(cols):
+                block = product[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
+                assert np.array_equal(table[:, j * rows + i], block.ravel())
+        assert np.array_equal(assemble_blocks(cfg, table, (br, bc)), product)
 
 
 class TestWorkerCompute:
@@ -177,6 +223,16 @@ class TestDecode:
         outputs = [worker_compute(s) for s in encode(cfg, np.eye(4), np.eye(4))]
         with pytest.raises(ValueError):
             decode(cfg, (1, 2, 3), [outputs[0], outputs[1], outputs[3]])
+
+    def test_products_of_different_shapes_rejected(self):
+        # equal sizes are not enough: a transposed (3, 2) product among (2, 3) ones
+        cfg = scheme_config("polynomial", 4, m=2, n=2)
+        rng = Rng(2)
+        a, b = gaussian_matrix(rng, 4, 6), gaussian_matrix(rng, 6, 6)
+        outputs = [worker_compute(s) for s in encode(cfg, a, b)]
+        outputs[1] = WorkerOutput(2, outputs[1].product.T)
+        with pytest.raises(ValueError, match=r"worker 2's product is \(3, 2\)"):
+            decode(cfg, (1, 2, 3, 4), outputs)
 
     def test_singular_submatrix_raises(self):
         from chebcoded.linalg import SingularMatrixError
@@ -384,3 +440,4 @@ class TestThresholdIsPrecondition:
 def test_all_families_covered_by_tests():
     tested = {case[0] for case in TestExactRecoveryAllSubsets.CASES}
     assert tested == set(FAMILIES)
+    assert {case[0] for case in GRID_CASES} == set(FAMILIES)

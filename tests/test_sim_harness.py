@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,21 @@ class TestRecordsSerialization:
         assert payload[0]["value"] == 1.5e-06
 
 
+    def test_json_is_strict_with_non_finite_values_as_null(self):
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        singular = replace(self.RECORD, value=math.inf)
+        (error_row,) = sweep(
+            [{"scheme": "orthopoly", "P": 7, "delta": 3, "m": 2, "metrics": ["relerr_worst"]}]
+        )
+        assert error_row.error and math.isinf(error_row.value)
+        text = records_to_json([self.RECORD, singular, error_row])
+        payload = json.loads(text, parse_constant=reject)
+        assert [row["value"] for row in payload] == [1.5e-06, None, None]
+        assert records_to_csv([singular]).splitlines()[1].split(",")[5] == "inf"
+
+
 class TestSweep:
     def test_determinism_bytes(self):
         plan = error_growth_plan(
@@ -482,6 +498,28 @@ class TestSweep:
         monkeypatch.setattr(sim_harness, "run_trial", broken)
         with pytest.raises(TypeError):
             sweep([self.VALID])
+
+
+@pytest.mark.parametrize(
+    "scheme, workers, delta, splits",
+    [
+        ("matdot", 6, 3, {}),
+        ("orthomatdot", 8, 3, {}),
+        ("polynomial", 8, 2, {}),
+        ("orthopoly", 9, 3, {"m": 3, "n": 2}),
+        ("gen_orthomatdot", 26, 1, {"m1": 2, "m2": 3, "m3": 2}),
+    ],
+)
+def test_record_dims_are_divisible_by_the_block_grid(scheme, workers, delta, splits):
+    row = {
+        "scheme": scheme, "P": workers, "delta": delta, "dims": [7, 11, 13],
+        "metrics": ["relerr_worst"], "fault": {"mode": "random", "samples": 3},
+        "seeds": [0], **splits,
+    }
+    (record,) = sweep([row])
+    assert record.error == ""
+    grid = matmul_codes.block_grid(sim_harness.matmul_config_for(scheme, workers, delta, splits))
+    assert all(d % g == 0 for d, g in zip((record.n1, record.n2, record.n3), grid))
 
 
 class TestFitDims:
