@@ -343,14 +343,18 @@ def subset_cond_stats(
 
 
 def theorem_bound_value(n: int, s: int) -> float:
-    """Raw growth-rate expression (n-s) * sqrt(n*s*(n-s)) * (2n^2)^(s-1).
+    """Raw growth-rate expression (n-s) * sqrt(n*s*(n-s)) * (2n^2)^(s-1), inf
+    beyond float range.
 
     The implied constant is 1; callers compare a measured worst-case
     Frobenius condition number against c * bound and report the ratio.
     """
     if not 1 <= s <= n - 1:
         raise ValueError(f"redundancy s={s} out of range [1, {n - 1}]")
-    return (n - s) * math.sqrt(n * s * (n - s)) * (2.0 * n * n) ** (s - 1)
+    try:
+        return (n - s) * math.sqrt(n * s * (n - s)) * (2.0 * n * n) ** (s - 1)
+    except OverflowError:
+        return math.inf
 
 
 def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[int, float]:
@@ -358,8 +362,9 @@ def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[i
 
     Draws ``trials`` i.i.d. N(0,1) matrices of shape m x workers, computes
     the worst spectral condition number over all m-column submatrices, and
-    counts how often it exceeds m * workers^(2*(workers-m)).  Returns
-    (violations, bound_prob) with bound_prob = 5.6 / workers^(workers-m).
+    counts how often it exceeds m * workers^(2*(workers-m)), an exact
+    integer that may lie beyond float range.  Returns (violations,
+    bound_prob) with bound_prob = 5.6 / workers^(workers-m).
     """
     if m < 3:
         raise ValueError(f"the bound requires m >= 3, got m={m}")
@@ -372,12 +377,12 @@ def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[i
             f"{math.comb(workers, m)} submatrices exceed the enumeration budget "
             f"{_GAUSSIAN_SUBSET_LIMIT}"
         )
-    threshold = m * float(workers) ** (2 * (workers - m))
+    threshold = m * workers ** (2 * (workers - m))
     bound_prob = 5.6 / float(workers) ** (workers - m)
     idx = subset_index(workers, m)
     violations = 0
     for _ in range(trials):
         h = gaussian_matrix(rng, m, workers)
-        if _subset_conds(h, idx, "spectral").max() > threshold:
+        if float(_subset_conds(h, idx, "spectral").max()) > threshold:
             violations += 1
     return violations, bound_prob

@@ -4,7 +4,7 @@ Subcommands: cond (condition-number sweeps), mm (encode/compute/decode a
 coded product with chosen erasures), table1 (the fixed worst/average
 error table), sweep (run a JSON plan file), lagrange (Lagrange-coding
 error trials), bound (condition-bound checks), selftest (re-run the
-package's invariants).
+package's end-to-end checks).
 
 Exit codes: 0 success, 2 usage error (one-line diagnostic on stderr),
 1 runtime failure (machine-parsable ``error=`` line on stdout).
@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from . import matmul_codes, selfcheck, sim_harness
+from . import lagrange_codes, matmul_codes, selfcheck, sim_harness
 from .cheb_vandermonde import gaussian_bound_trial, subset_cond_stats, theorem_bound_value
 from .linalg import Rng
 from .poly_basis import cheb_grid
@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cond", help="worst/average condition number over decode submatrices")
-    p.add_argument("--basis", choices=("chebyshev", "monomial", "chebyshev_normalized"),
-                   required=True)
+    p.add_argument("--basis", choices=sim_harness.COND_SCHEMES, required=True)
     p.add_argument("--points", type=int, required=True, help="number of evaluation points (P)")
     p.add_argument("--rows", type=int, help="generator rows k (default: points - redundancy)")
     p.add_argument("--redundancy", type=int, help="points - rows")
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--degf", type=int, default=1)
-    p.add_argument("--basis", choices=("chebyshev", "monomial"), default="chebyshev")
+    p.add_argument("--basis", choices=lagrange_codes.DECODE_BASES, default="chebyshev")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="random")
     p.add_argument("--samples", type=int, default=50)
     _common_flags(p)
@@ -95,16 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=500)
     _common_flags(p)
 
-    p = sub.add_parser("selftest", help="re-run the package invariants")
+    p = sub.add_parser("selftest", help="re-run the package's end-to-end checks")
     _common_flags(p)
 
     return parser
 
 
 def _emit_lines(args, pairs) -> None:
-    """key=value output for check-style subcommands."""
+    """key=value output for check-style subcommands; JSON writes inf as null."""
     if args.format == "json":
-        text = json.dumps(dict(pairs), indent=2) + "\n"
+        finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in pairs}
+        text = json.dumps(finite, indent=2, allow_nan=False) + "\n"
     else:
         text = "".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n" for k, v in pairs)
     if args.out:

@@ -103,13 +103,11 @@ def lagrange_encode(config: LagrangeConfig, data) -> np.ndarray:
     out = np.empty((config.workers, config.dim))
     out[: config.m] = data
     anchors = config.anchors
+    spread = anchors[:, None] - anchors[None, :]
+    np.fill_diagonal(spread, 1.0)
     for r in range(config.m, config.workers):
-        x = config.points[r]
         # ratios[i, j] = (x - x_j) / (x_i - x_j), diagonal patched to 1
-        diff_to_x = x - anchors
-        spread = anchors[:, None] - anchors[None, :]
-        np.fill_diagonal(spread, 1.0)
-        ratios = diff_to_x[None, :] / spread
+        ratios = (config.points[r] - anchors)[None, :] / spread
         np.fill_diagonal(ratios, 1.0)
         out[r] = np.prod(ratios, axis=1) @ data
     return out
@@ -127,8 +125,7 @@ def decode_generator(config: LagrangeConfig, basis: str) -> np.ndarray:
     """K x P interpolation generator on the grid in the chosen basis."""
     if basis not in DECODE_BASES:
         raise ValueError(f"unknown basis {basis!r}, expected one of {DECODE_BASES}")
-    kind = "chebyshev" if basis == "chebyshev" else "monomial"
-    return build_generator(kind, config.threshold, config.points)
+    return build_generator(basis, config.threshold, config.points)
 
 
 def lagrange_decode(

@@ -24,6 +24,7 @@ Worker indices are 1-based throughout, matching the grid point order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,10 @@ __all__ = [
     "scheme_config",
     "WorkerShard",
     "WorkerOutput",
-    "HMap",
     "DecodeOperator",
     "block_grid",
     "recovery_threshold",
+    "derive_splits",
     "encode",
     "worker_compute",
     "decode",
@@ -66,9 +67,6 @@ _GRID = {
     "gen_orthomatdot": ("m1", "m2", "m3"),
 }
 FAMILIES = tuple(_GRID)
-
-_INNER = ("matdot", "orthomatdot")
-_OUTER = ("polynomial", "orthopoly")
 
 # Output entries per decode GEMM: the survivor products are stacked one
 # row range at a time, so no K x entries copy of all of them is made.
@@ -135,16 +133,6 @@ class WorkerOutput:
     product: np.ndarray
 
 
-@dataclass(frozen=True)
-class HMap:
-    """mn x mn map from the block-product vector (A-index fastest) to the
-    Chebyshev coefficients of p_A * p_B for the orthopoly family."""
-
-    m: int
-    n: int
-    h: np.ndarray
-
-
 def block_grid(config: SchemeConfig) -> tuple[int, int, int]:
     """Block counts (rows, inner, cols) the family cuts A (rows x inner)
     and B (inner x cols) into; an axis the family does not split counts 1."""
@@ -152,12 +140,11 @@ def block_grid(config: SchemeConfig) -> tuple[int, int, int]:
 
 
 def recovery_threshold(config: SchemeConfig) -> int:
-    """Smallest worker-output count that always suffices to decode."""
-    if config.family in _INNER:
-        return 2 * config.m - 1
-    if config.family in _OUTER:
-        return config.m * config.n
-    m1, m2, m3 = config.m1, config.m2, config.m3
+    """Smallest worker-output count that always suffices to decode: rows x
+    cols without an inner split, else the generalized count (2m-1 at (1, m, 1))."""
+    m1, m2, m3 = block_grid(config)
+    if _GRID[config.family][1] is None:
+        return m1 * m3
     return (
         4 * m1 * m2 * m3
         - 2 * (m1 * m2 + m2 * m3 + m3 * m1)
@@ -166,6 +153,26 @@ def recovery_threshold(config: SchemeConfig) -> int:
         + m3
         - 1
     )
+
+
+def derive_splits(family: str, threshold: int, splits: dict) -> dict:
+    """``splits`` completed so that ``family`` decodes at ``threshold``, the
+    inverse of :func:`recovery_threshold`; a full grid derives nothing."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    rows, inner, cols = _GRID[family]
+    if rows is None and cols is None and inner not in splits:  # (1, m, 1): 2m-1
+        if threshold % 2 == 0:
+            raise ValueError(f"threshold P-delta={threshold} must be odd (2m-1) for {family}")
+        return {**splits, inner: (threshold + 1) // 2}
+    if inner is None:  # (m, 1, n): m the largest divisor at most sqrt(threshold)
+        missing = [key for key in (rows, cols) if key not in splits]
+        if len(missing) == 1:
+            raise KeyError(missing[0])
+        if missing:
+            m = max(d for d in range(1, math.isqrt(threshold) + 1) if threshold % d == 0)
+            return {**splits, rows: m, cols: threshold // m}
+    return splits
 
 
 def _split_grid(
@@ -256,8 +263,9 @@ def worker_compute(shard: WorkerShard) -> WorkerOutput:
     return WorkerOutput(shard.worker_index, matmul(shard.a_shard, shard.b_shard))
 
 
-def build_h_map(m: int, n: int) -> HMap:
-    """Coefficient map for the orthopoly family.
+def build_h_map(m: int, n: int) -> np.ndarray:
+    """mn x mn map from the block-product vector (A-index fastest) to the
+    Chebyshev coefficients of p_A * p_B for the orthopoly family.
 
     Column (i, j), stored at j*m + i, expands T_i * T_{jm}: a single 1 at
     row jm for i = 0, else 1/2 at rows jm+i and |jm-i| (which collapse to
@@ -275,7 +283,7 @@ def build_h_map(m: int, n: int) -> HMap:
             else:
                 h[j * m + i, col] += 0.5
                 h[abs(j * m - i), col] += 0.5
-    return HMap(m=m, n=n, h=h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -310,7 +318,7 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
         rec = np.eye(k)
     elif config.family == "orthopoly":
         gen = build_generator("chebyshev", k, pts)
-        rec = invert(build_h_map(config.m, config.n).h).T
+        rec = invert(build_h_map(config.m, config.n)).T
     else:
         gen = build_generator("chebyshev", k, pts)
         rec = np.zeros((k, config.m1 * config.m3))

@@ -71,7 +71,7 @@ CSV_HEADER = "scheme,P,threshold,delta,metric,value,seed,n1,n2,n3,subset_mode,er
 METRICS = ("cond_worst", "cond_avg", "relerr_worst", "relerr_avg")
 
 COND_SCHEMES = ("chebyshev", "monomial", "chebyshev_normalized")
-LAGRANGE_SCHEMES = ("lagrange_chebyshev", "lagrange_monomial")
+LAGRANGE_SCHEMES = tuple("lagrange_" + basis for basis in lagrange_codes.DECODE_BASES)
 FAULT_MODES = ("exhaustive", "random", "fixed")
 
 # Subsets are replayed in chunks whose working set stays under this many floats.
@@ -396,23 +396,14 @@ def parse_row(row) -> PlanRow:
 
 def matmul_config_for(scheme: str, workers: int, delta: int, row: dict | None = None):
     """Build a SchemeConfig from (scheme, P, delta) plus the explicit splits
-    in ``row`` (its other keys are not read); derived splits put the
-    threshold at P - delta, and ``sweep`` rejects explicit ones that do not."""
+    in ``row`` (its other keys are not read); the splits
+    :func:`chebcoded.matmul_codes.derive_splits` derives put the threshold
+    at P - delta, and ``sweep`` rejects explicit ones that do not."""
     splits = {key: _int(row[key], key) for key in matmul_codes.SPLITS if key in (row or {})}
     k = workers - delta
     if k < 1:
         raise ValueError(f"delta={delta} leaves no decodable threshold at P={workers}")
-    if scheme in ("matdot", "orthomatdot") and "m" not in splits:
-        if k % 2 == 0:
-            raise ValueError(f"threshold P-delta={k} must be odd (2m-1) for {scheme}")
-        splits["m"] = (k + 1) // 2
-    elif scheme in ("polynomial", "orthopoly"):
-        missing = [key for key in ("m", "n") if key not in splits]
-        if len(missing) == 1:
-            raise KeyError(missing[0])
-        if missing:  # m is the largest divisor of k at most sqrt(k)
-            m = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
-            splits.update(m=m, n=k // m)
+    splits = matmul_codes.derive_splits(scheme, k, splits)
     return matmul_codes.scheme_config(scheme, workers, **splits)
 
 
@@ -436,7 +427,7 @@ def _lagrange_part(row: PlanRow):
         raise ValueError(f"P-delta={workers - delta} is not a valid threshold for deg_f={deg_f}")
     m = (workers - delta - 1) // deg_f + 1 if m is None else m
     config = lagrange_codes.LagrangeConfig(m=m, workers=workers, dim=dim, deg_f=deg_f)
-    basis = "chebyshev" if row.scheme == "lagrange_chebyshev" else "monomial"
+    basis = row.scheme.removeprefix("lagrange_")
 
     def trial(seed: int) -> SubsetStats:
         rng = Rng(seed)

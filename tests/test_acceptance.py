@@ -118,7 +118,7 @@ def test_criterion_2_quadrature_identity():
 
 @pytest.mark.criterion("03 coefficient maps: 9x9 ground truth and generalized indices")
 def test_criterion_3_coefficient_maps():
-    h = build_h_map(3, 3).h
+    h = build_h_map(3, 3)
     assert np.array_equal(h, EQ19)
     assert set(np.unique(h)) <= {0.0, 0.5, 1.0}
 

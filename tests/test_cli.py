@@ -234,17 +234,48 @@ class TestBoundCommand:
         payload = json.loads(out)
         assert payload["n"] == 6 and payload["ratio"] > 0
 
+    def test_growth_rate_bound_beyond_float_range_reads_inf(self, capsys):
+        # (2n^2)^(s-1) = 12800^78 leaves float range
+        code, out, _ = run_cli(capsys, "bound", "--n", "80", "--s", "79")
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert values["bound"] == "inf" and values["ratio"] == "0.0"
+        assert float(values["kappa_f_max"]) > 0
+
+    def test_json_writes_an_infinite_bound_as_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--n", "80", "--s", "79", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert payload["bound"] is None and payload["ratio"] == 0.0
+
+    def test_gauss_threshold_beyond_float_range(self, capsys):
+        # the threshold 3 * 85^164 leaves float range; 98,770 subsets fit the budget
+        code, out, _ = run_cli(
+            capsys, "bound", "--gauss", "--m", "3", "--workers", "85", "--trials", "1"
+        )
+        assert code == 0
+        values = dict(line.split("=", 1) for line in out.strip().splitlines())
+        assert values["violations"] == "0"
+        assert float(values["bound_prob"]) == pytest.approx(5.6 / 85.0**82)
+
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "bound")
         assert code == 2 and "usage error" in err
 
 
 class TestSelftest:
-    @pytest.mark.slow
     def test_battery_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
-        assert "all" in out and "checks passed" in out
+        assert out.splitlines() == [
+            "ok   generator conditioning",
+            "ok   exact recovery, all families",
+            "ok   lagrange coding",
+            "ok   simulation harness",
+            "all 4 checks passed",
+        ]
 
 
 class TestSeedOverride:

@@ -65,6 +65,30 @@ class TestRecoveryThreshold:
     def test_polynomial_is_mn(self):
         assert recovery_threshold(scheme_config("orthopoly", 12, m=3, n=4)) == 12
 
+    @pytest.mark.parametrize(
+        "family, splits, closed_form",
+        [
+            ("matdot", dict(m=4), lambda m: 2 * m - 1),
+            ("orthomatdot", dict(m=3), lambda m: 2 * m - 1),
+            ("polynomial", dict(m=2, n=5), lambda m, n: m * n),
+            ("orthopoly", dict(m=3, n=4), lambda m, n: m * n),
+            (
+                "gen_orthomatdot",
+                dict(m1=2, m2=3, m3=2),
+                lambda m1, m2, m3: 4 * m1 * m2 * m3 - 2 * (m1 * m2 + m2 * m3 + m3 * m1)
+                + m1 + 2 * m2 + m3 - 1,
+            ),
+        ],
+    )
+    def test_read_off_the_grid_matches_closed_form(self, family, splits, closed_form):
+        cfg = scheme_config(family, 60, **splits)
+        assert recovery_threshold(cfg) == closed_form(**splits)
+
+    def test_gen_without_inner_split_keeps_generalized_count(self):
+        # the gen grid names its inner axis, so m2 = 1 is not read as rows x cols
+        cfg = scheme_config("gen_orthomatdot", 8, m1=2, m2=1, m3=2)
+        assert recovery_threshold(cfg) == 5
+
     def test_too_few_workers_rejected(self):
         with pytest.raises(ValueError):
             scheme_config("orthomatdot", 4, m=3)
@@ -347,19 +371,19 @@ class TestQuadratureDecodeEquivalence:
 
 class TestHMap:
     def test_eq19_matrix_exactly(self):
-        assert np.array_equal(build_h_map(3, 3).h, EQ19)
+        assert np.array_equal(build_h_map(3, 3), EQ19)
 
     def test_m1_is_identity(self):
-        assert np.array_equal(build_h_map(1, 5).h, np.eye(5))
+        assert np.array_equal(build_h_map(1, 5), np.eye(5))
 
     def test_n1_is_identity(self):
-        assert np.array_equal(build_h_map(5, 1).h, np.eye(5))
+        assert np.array_equal(build_h_map(5, 1), np.eye(5))
 
     def test_column_structure(self):
-        hmap = build_h_map(4, 3)
+        h = build_h_map(4, 3)
         for j in range(3):
             for i in range(4):
-                col = hmap.h[:, j * 4 + i]
+                col = h[:, j * 4 + i]
                 if i == 0:
                     assert col[j * 4] == 1.0 and np.count_nonzero(col) == 1
                 elif j == 0:
@@ -368,7 +392,7 @@ class TestHMap:
                     assert sorted(col[col != 0]) == [0.5, 0.5]
 
     def test_invertible(self):
-        h = build_h_map(4, 4).h
+        h = build_h_map(4, 4)
         assert np.linalg.matrix_rank(h) == 16
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (2, 4), (4, 2)])
@@ -385,7 +409,7 @@ class TestHMap:
         gen = build_generator("chebyshev", size, pts)
         coeffs = solve(gen.T, pa * pb)
         blockvec = np.array([a[i] * b[j] for j in range(n) for i in range(m)])
-        assert build_h_map(m, n).h @ blockvec == pytest.approx(coeffs, abs=1e-9)
+        assert build_h_map(m, n) @ blockvec == pytest.approx(coeffs, abs=1e-9)
 
 
 class TestOutputCoefficientIndices:

@@ -522,6 +522,46 @@ def test_record_dims_are_divisible_by_the_block_grid(scheme, workers, delta, spl
     assert all(d % g == 0 for d, g in zip((record.n1, record.n2, record.n3), grid))
 
 
+class TestDerivedSplits:
+    """matmul_config_for completes the splits from the threshold P - delta."""
+
+    @pytest.mark.parametrize(
+        "scheme, workers, delta, splits",
+        [
+            ("matdot", 9, 2, {"m": 4}),
+            ("orthomatdot", 9, 2, {"m": 4}),
+            ("orthopoly", 15, 3, {"m": 3, "n": 4}),
+            ("polynomial", 15, 2, {"m": 1, "n": 13}),
+        ],
+    )
+    def test_derived_splits(self, scheme, workers, delta, splits):
+        config = sim_harness.matmul_config_for(scheme, workers, delta)
+        assert {key: getattr(config, key) for key in splits} == splits
+        assert matmul_codes.recovery_threshold(config) == workers - delta
+
+    def test_explicit_splits_are_kept(self):
+        config = sim_harness.matmul_config_for("orthopoly", 15, 3, {"m": 2, "n": 6})
+        assert (config.m, config.n) == (2, 6)
+
+    @pytest.mark.parametrize("scheme", ["matdot", "orthomatdot"])
+    def test_even_threshold_on_an_inner_family(self, scheme):
+        with pytest.raises(ValueError, match="must be odd"):
+            sim_harness.matmul_config_for(scheme, 10, 2)
+
+    def test_outer_family_with_one_split_given(self):
+        with pytest.raises(KeyError, match="'n'"):
+            sim_harness.matmul_config_for("polynomial", 9, 1, {"m": 2})
+        (record,) = sweep([{
+            "scheme": "polynomial", "P": 9, "delta": 1, "m": 2,
+            "metrics": ["relerr_worst"], "seeds": [0],
+        }])
+        assert record.error == "missing plan key 'n'"
+
+    def test_full_grid_derives_nothing(self):
+        with pytest.raises(ValueError, match="needs positive split count m1"):
+            sim_harness.matmul_config_for("gen_orthomatdot", 9, 2)
+
+
 class TestFitDims:
     def test_identity_when_divisible(self):
         assert fit_dims((120, 120, 120), inner_split=4) == (120, 120, 120)
