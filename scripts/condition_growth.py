@@ -17,7 +17,8 @@ import argparse
 import math
 import sys
 
-from chebcoded.sim_harness import condition_growth_plan, sweep, write_records
+from chebcoded.cli import emit_and_check
+from chebcoded.sim_harness import condition_growth_plan, sweep
 
 
 def main(argv=None) -> int:
@@ -48,8 +49,7 @@ def main(argv=None) -> int:
         samples=args.samples or None,
         seed=args.seed,
     )
-    write_records(sweep(plan), args.out, args.format)
-    return 0
+    return emit_and_check(args, sweep(plan))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ sampled survivor subsets, Gaussian inputs.
 import argparse
 import sys
 
-from chebcoded.sim_harness import error_growth_plan, sweep, write_records
+from chebcoded.cli import emit_and_check
+from chebcoded.sim_harness import error_growth_plan, sweep
 
 PAIRS = {
     "inner": ("matdot", "orthomatdot"),
@@ -36,8 +37,7 @@ def main(argv=None) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    write_records(sweep(plan), args.out, args.format)
-    return 0
+    return emit_and_check(args, sweep(plan))
 
 
 if __name__ == "__main__":

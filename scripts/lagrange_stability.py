@@ -7,7 +7,8 @@ with two redundant workers and a degree-1 map on Gaussian data.
 import argparse
 import sys
 
-from chebcoded.sim_harness import lagrange_stability_plan, sweep, write_records
+from chebcoded.cli import emit_and_check
+from chebcoded.sim_harness import lagrange_stability_plan, sweep
 
 
 def main(argv=None) -> int:
@@ -30,8 +31,7 @@ def main(argv=None) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    write_records(sweep(plan), args.out, args.format)
-    return 0
+    return emit_and_check(args, sweep(plan))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ __all__ = [
     "gaussian_bound_trial",
 ]
 
-GENERATOR_KINDS = ("monomial", "chebyshev", "chebyshev_normalized")
+GENERATOR_KINDS = ("chebyshev", "monomial", "chebyshev_normalized")
 
 # Exhaustive sweeps above this many subsets must switch to sampling.
 EXHAUSTIVE_SUBSET_LIMIT = 10**6
@@ -215,12 +215,10 @@ def subset_stats(values: np.ndarray, idx: np.ndarray, n: int, size: int) -> Subs
     """The one worst/average reduction of per-subset ``values``, one per row
     of ``idx``.  The infinity sentinel of a singular subset dominates the
     worst case.  The mean is accumulated in row order, one uncompensated
-    float addition at a time on every Python version, so it does not
-    depend on how the rows were chunked."""
+    float addition at a time (``np.add.accumulate``, not the pairwise
+    ``np.sum``), so it does not depend on how the rows were chunked."""
     worst_at = int(np.argmax(values))
-    total = 0.0
-    for value in values.tolist():
-        total += value
+    total = float(np.add.accumulate(values)[-1])
     worst = _survivor_index(idx[worst_at : worst_at + 1], n, size)[0] + 1
     return SubsetStats(float(values[worst_at]), total / len(values), tuple(worst.tolist()))
 

@@ -20,11 +20,12 @@ import os
 import sys
 
 from . import lagrange_codes, matmul_codes, selfcheck, sim_harness
+from .cheb_vandermonde import GENERATOR_KINDS
 from .cheb_vandermonde import gaussian_bound_trial, subset_cond_stats, theorem_bound_value
 from .linalg import Rng
 from .poly_basis import cheb_grid
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main", "entrypoint", "emit_and_check"]
 
 
 class UsageError(ValueError):
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cond", help="worst/average condition number over decode submatrices")
-    p.add_argument("--basis", choices=sim_harness.COND_SCHEMES, required=True)
+    p.add_argument("--basis", choices=GENERATOR_KINDS, required=True)
     p.add_argument("--points", type=int, required=True, help="number of evaluation points (P)")
     p.add_argument("--rows", type=int, help="generator rows k (default: points - redundancy)")
     p.add_argument("--redundancy", type=int, help="points - rows")
@@ -110,9 +111,7 @@ def _emit_lines(args, pairs) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if not args.quiet:
-            sys.stdout.write(text)
-    else:
+    if not (args.out and args.quiet):
         sys.stdout.write(text)
 
 
@@ -126,18 +125,11 @@ def _cmd_cond(args) -> int:
         )
     if not 1 <= rows <= args.points:
         raise UsageError(f"rows={rows} out of range [1, {args.points}]")
-    row = {
-        "scheme": args.basis,
-        "P": args.points,
-        "delta": args.points - rows,
-        "norm": args.norm,
-        "metrics": ["cond_worst", "cond_avg"],
-        "fault": {"mode": "random", "samples": args.samples}
-        if args.mode == "sampled"
-        else {"mode": "exhaustive"},
-        "seeds": [args.seed],
-    }
-    return _emit_and_check(args, sim_harness.sweep([row]))
+    samples = args.samples if args.mode == "sampled" else None
+    plan = sim_harness.condition_growth_plan(
+        (args.basis,), (args.points,), args.points - rows, args.norm, samples, args.seed
+    )
+    return emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_mm(args) -> int:
@@ -165,21 +157,16 @@ def _cmd_mm(args) -> int:
                 f"killing {len(killed)} workers leaves {len(survivors)} survivors; "
                 f"decoder needs exactly {threshold}"
             )
-        fault = {"mode": "fixed", "subset": survivors}
-    else:
-        fault = {"mode": "exhaustive"}
-    row = dict(splits, scheme=args.scheme, P=args.workers, delta=args.workers - threshold,
-               dims=[args.n1, args.n2, args.n3], metrics=["relerr_worst", "relerr_avg"],
-               fault=fault, seeds=[args.seed])
-    records = sim_harness.sweep([row])
+    plan = sim_harness.plan_rows(
+        [(args.scheme, args.workers)], args.workers - threshold,
+        survivors if args.kill else None, args.seed, 1, dims=[args.n1, args.n2, args.n3], **splits,
+    )
+    records = sim_harness.sweep(plan)
     if args.exhaustive:
-        return _emit_and_check(args, records)
+        return emit_and_check(args, records)
     worst = records[0]
-    if worst.error:
-        print(f"error={worst.error}")
-        return 1
-    if not math.isfinite(worst.value):
-        print("error=singular decode for the requested survivor set")
+    if not math.isfinite(worst.value):  # a singular decode, or an error row
+        print(f"error={worst.error or 'singular decode for the requested survivor set'}")
         return 1
     if not args.quiet:
         print(f"relative_error={worst.value!r}")
@@ -190,7 +177,7 @@ def _cmd_mm(args) -> int:
 
 def _cmd_table1(args) -> int:
     plan = sim_harness.table1_plan(args.seed, dims=(args.dims, args.dims, args.dims))
-    return _emit_and_check(args, sim_harness.sweep(plan))
+    return emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_sweep(args) -> int:
@@ -203,25 +190,17 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(plan, list):
         raise UsageError("plan file must hold a JSON array of row objects")
-    return _emit_and_check(args, sim_harness.sweep(plan))
+    return emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_lagrange(args) -> int:
     m = args.m if args.m is not None else args.workers - 2
-    row = {
-        "scheme": f"lagrange_{args.basis}",
-        "P": args.workers,
-        "delta": args.workers - ((m - 1) * args.degf + 1),
-        "m": m,
-        "dim": args.dim,
-        "deg_f": args.degf,
-        "metrics": ["relerr_worst", "relerr_avg"],
-        "fault": {"mode": "random", "samples": args.samples}
-        if args.mode == "random"
-        else {"mode": "exhaustive"},
-        "seeds": [args.seed + i for i in range(5)],
-    }
-    return _emit_and_check(args, sim_harness.sweep([row]))
+    samples = args.samples if args.mode == "random" else None
+    plan = sim_harness.plan_rows(
+        [(f"lagrange_{args.basis}", args.workers)], args.workers - ((m - 1) * args.degf + 1),
+        samples, args.seed, m=m, dim=args.dim, deg_f=args.degf,
+    )
+    return emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_bound(args) -> int:
@@ -266,9 +245,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def _emit_and_check(args, records) -> int:
-    """Write records, then fail loudly if any plan row errored; the error
-    line comes last so the CSV stays parseable."""
+def emit_and_check(args, records) -> int:
+    """Write records to ``args.out`` in ``args.format``, then fail loudly
+    if any plan row errored; the error line comes last so the CSV stays
+    parseable.  The experiment scripts in ``scripts/`` exit by it too."""
     sim_harness.write_records(records, args.out, args.format)
     bad = [r for r in records if r.error]
     if bad:

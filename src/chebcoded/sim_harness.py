@@ -25,6 +25,7 @@ byte-deterministically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ import numpy as np
 
 from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
+    GENERATOR_KINDS,
     SubsetStats,
     check_survivors,
     subset_cond_stats,
@@ -57,6 +59,7 @@ __all__ = [
     "error_growth_plan",
     "condition_growth_plan",
     "lagrange_stability_plan",
+    "plan_rows",
     "PlanRow",
     "parse_row",
     "matmul_config_for",
@@ -70,7 +73,6 @@ CSV_HEADER = "scheme,P,threshold,delta,metric,value,seed,n1,n2,n3,subset_mode,er
 
 METRICS = ("cond_worst", "cond_avg", "relerr_worst", "relerr_avg")
 
-COND_SCHEMES = ("chebyshev", "monomial", "chebyshev_normalized")
 LAGRANGE_SCHEMES = tuple("lagrange_" + basis for basis in lagrange_codes.DECODE_BASES)
 FAULT_MODES = ("exhaustive", "random", "fixed")
 
@@ -105,6 +107,13 @@ def _list(item, size: int | None = None):
         return tuple(item(v, key) for v in value)
 
     return parse
+
+
+def _dims(value, key: str) -> tuple:
+    dims = _list(_int, 3)(value, key)
+    if min(dims) < 1:
+        raise ValueError(f"plan key {key!r} must hold positive integers, got {value!r}")
+    return dims
 
 
 def _one_of(name: str, options: tuple):
@@ -345,7 +354,7 @@ def _parse_keys(obj: dict, table: dict, kind: str | None, what: str) -> tuple[di
     return values, errors
 
 
-_KINDS = {"matmul": matmul_codes.FAMILIES, "lagrange": LAGRANGE_SCHEMES, "cond": COND_SCHEMES}
+_KINDS = {"matmul": matmul_codes.FAMILIES, "lagrange": LAGRANGE_SCHEMES, "cond": GENERATOR_KINDS}
 
 
 @dataclass(frozen=True)
@@ -364,7 +373,7 @@ class PlanRow:
     )
     seeds: tuple[int, ...] = _key(_list(_int), {"*": MISSING, "cond": [0]}, (0,))
     fault: FaultModel | None = _key(_fault, {"*": {"mode": "exhaustive"}})
-    dims: tuple[int, ...] | None = _key(_list(_int, 3), {"matmul": [120, 120, 120]})
+    dims: tuple[int, ...] | None = _key(_dims, {"matmul": [120, 120, 120]})
     m: int | None = _key(_int, {"matmul": None, "lagrange": None})
     n: int | None = _key(_int, {"matmul": None})
     m1: int | None = _key(_int, {"matmul": None})
@@ -508,29 +517,35 @@ def _csv_safe(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
+def _fault_object(subsets) -> dict:
+    if subsets is None:
+        return {"mode": "exhaustive"}
+    if isinstance(subsets, tuple):
+        return {"mode": "fixed", "subset": subsets}
+    return {"mode": "random", "samples": subsets}
+
+
+def plan_rows(pairs, delta: int, subsets, seed: int, seed_count: int = _SEEDS_PER_POINT,
+              metrics=("relerr_worst", "relerr_avg"), **kind_keys) -> list[dict]:
+    """One plan row per (scheme, P) of ``pairs``, in order: the seeds from
+    ``seed`` on (five, the experiment protocol, by default), the kind's own
+    keys, and a fault that replays every survivor subset (``subsets``
+    None), that many random ones (an integer) or the survivor set (a tuple)."""
+    return [
+        {"scheme": scheme, "P": p, "delta": delta, **kind_keys, "metrics": list(metrics),
+         "fault": _fault_object(subsets), "seeds": list(range(seed, seed + seed_count))}
+        for scheme, p in pairs
+    ]
+
+
 def table1_plan(seed: int, dims=(120, 120, 120)) -> list[dict]:
     """Worst/average relative error for the inner-split pair at fixed
     redundancy 3 and P in {30, 50, 80, 150}; exhaustive subsets while
     affordable, 2000 sampled subsets beyond."""
     plan = []
     for workers in (30, 50, 80, 150):
-        threshold = workers - 3
-        if math.comb(workers, threshold) <= _TABLE1_EXHAUSTIVE_CAP:
-            fault = {"mode": "exhaustive"}
-        else:
-            fault = {"mode": "random", "samples": _TABLE1_SAMPLES}
-        for scheme in ("matdot", "orthomatdot"):
-            plan.append(
-                {
-                    "scheme": scheme,
-                    "P": workers,
-                    "delta": 3,
-                    "dims": tuple(dims),
-                    "metrics": ["relerr_worst", "relerr_avg"],
-                    "fault": fault,
-                    "seeds": list(range(seed, seed + _SEEDS_PER_POINT)),
-                }
-            )
+        samples = None if math.comb(workers, 3) <= _TABLE1_EXHAUSTIVE_CAP else _TABLE1_SAMPLES
+        plan += error_growth_plan(("matdot", "orthomatdot"), (workers,), 3, dims, samples, seed)
     return plan
 
 
@@ -539,23 +554,13 @@ def error_growth_plan(
     workers=(20, 40, 60, 80),
     delta: int = 3,
     dims=(120, 120, 120),
-    samples: int = 2000,
+    samples: int | None = 2000,
     seed: int = 0,
 ) -> list[dict]:
-    """Relative-error growth with system size at fixed redundancy."""
-    return [
-        {
-            "scheme": scheme,
-            "P": p,
-            "delta": delta,
-            "dims": tuple(dims),
-            "metrics": ["relerr_worst", "relerr_avg"],
-            "fault": {"mode": "random", "samples": samples},
-            "seeds": list(range(seed, seed + _SEEDS_PER_POINT)),
-        }
-        for scheme in schemes
-        for p in workers
-    ]
+    """Relative-error growth with system size at fixed redundancy;
+    exhaustive when ``samples`` is None."""
+    pairs = itertools.product(schemes, workers)
+    return plan_rows(pairs, delta, samples, seed, dims=tuple(dims))
 
 
 def condition_growth_plan(
@@ -566,27 +571,9 @@ def condition_growth_plan(
     samples: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Worst/average condition number of the decode submatrices."""
-    plan = []
-    for kind in kinds:
-        for p in workers:
-            fault = (
-                {"mode": "random", "samples": samples}
-                if samples
-                else {"mode": "exhaustive"}
-            )
-            plan.append(
-                {
-                    "scheme": kind,
-                    "P": p,
-                    "delta": delta,
-                    "norm": norm,
-                    "metrics": ["cond_worst", "cond_avg"],
-                    "fault": fault,
-                    "seeds": [seed],
-                }
-            )
-    return plan
+    """Worst/average condition number of the decode submatrices, on one seed."""
+    pairs = itertools.product(kinds, workers)
+    return plan_rows(pairs, delta, samples, seed, 1, ("cond_worst", "cond_avg"), norm=norm)
 
 
 def lagrange_stability_plan(
@@ -594,21 +581,10 @@ def lagrange_stability_plan(
     delta: int = 2,
     dim: int = 10,
     deg_f: int = 1,
-    samples: int = 50,
+    samples: int | None = 50,
     seed: int = 0,
 ) -> list[dict]:
     """Chebyshev vs monomial decoding error for Lagrange coding."""
-    return [
-        {
-            "scheme": scheme,
-            "P": p,
-            "delta": delta,
-            "dim": dim,
-            "deg_f": deg_f,
-            "metrics": ["relerr_avg", "relerr_worst"],
-            "fault": {"mode": "random", "samples": samples},
-            "seeds": list(range(seed, seed + _SEEDS_PER_POINT)),
-        }
-        for scheme in LAGRANGE_SCHEMES
-        for p in workers
-    ]
+    pairs = itertools.product(LAGRANGE_SCHEMES, workers)
+    metrics = ("relerr_avg", "relerr_worst")
+    return plan_rows(pairs, delta, samples, seed, metrics=metrics, dim=dim, deg_f=deg_f)

@@ -8,11 +8,13 @@ from chebcoded.cheb_vandermonde import (
     BudgetExceededError,
     build_generator,
     check_survivors,
+    evaluation_points,
     gaussian_bound_trial,
     iter_column_subsets,
     sample_column_subsets,
     subset_cond_stats,
     subset_index,
+    subset_stats,
     theorem_bound_value,
 )
 from chebcoded.linalg import Rng, cond
@@ -50,6 +52,44 @@ class TestBuildGenerator:
     def test_discrete_orthogonality(self, n):
         g = build_generator("chebyshev_normalized", n, cheb_grid(n).points)
         assert np.max(np.abs(g @ g.T - (n / 2.0) * np.eye(n))) <= 1e-9
+
+
+class TestEvaluationPoints:
+    def test_default_is_the_read_only_grid(self):
+        pts = evaluation_points(6)
+        assert np.array_equal(pts, cheb_grid(6).points) and not pts.flags.writeable
+
+    def test_wrong_point_count_rejected(self):
+        with pytest.raises(ValueError, match="need 4 evaluation points, got 3"):
+            evaluation_points(4, [0.1, 0.2, 0.3])
+
+    def test_repeated_points_rejected(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            evaluation_points(3, [0.1, 0.2, 0.1])
+
+
+class TestSubsetStats:
+    @staticmethod
+    def loop_mean(values):
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        return total / len(values)
+
+    @pytest.mark.parametrize("with_inf", [False, True])
+    def test_mean_is_the_in_order_float_loop_bitwise(self, with_inf):
+        """1e16 + 1.0 + ... loses each 1.0 in order, which a pairwise or
+        compensated sum would not, so the check sees the summation order."""
+        rng = np.random.default_rng(5)
+        values = np.concatenate([[1e16], np.ones(1000), rng.lognormal(0.0, 8.0, 20000)])
+        if with_inf:
+            values[777] = np.inf
+        idx = np.arange(len(values))[:, None]  # one single-column subset per value
+        stats = subset_stats(values, idx, len(values), 1)
+        assert stats.average == self.loop_mean(values)
+        assert stats.average != float(np.sum(values)) / len(values) or with_inf
+        assert stats.worst == values.max()
+        assert stats.worst_subset == (int(np.argmax(values)) + 1,)
 
 
 class TestCheckSurvivors:

@@ -41,6 +41,22 @@ class TestCond:
         assert code == 2 and "usage error" in err
 
 
+    def test_sampled_with_zero_samples_is_an_error_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cond", "--basis", "chebyshev", "--points", "12", "--redundancy", "2",
+            "--mode", "sampled", "--samples", "0",
+        )
+        lines = out.splitlines()
+        assert code == 1 and lines[0] == CSV_HEADER and len(lines) == 4
+        assert lines[1].endswith(",error,random fault mode needs samples >= 1")
+        assert lines[-1] == "error=random fault mode needs samples >= 1"
+
+    def test_basis_choices_are_the_generator_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cond", "--help"])
+        assert "{chebyshev,monomial,chebyshev_normalized}" in capsys.readouterr().out
+
+
 class TestMm:
     def test_kill_prints_relative_error(self, capsys):
         code, out, _ = run_cli(
@@ -111,6 +127,23 @@ class TestMm:
         )
         assert code == 1
         assert any(line.startswith("error=") for line in out.splitlines())
+
+    @pytest.mark.parametrize("dims", [("0", "4", "4"), ("-5", "12", "12")])
+    def test_non_positive_dims_are_an_error(self, capsys, dims):
+        code, out, _ = run_cli(
+            capsys, "mm", "--scheme", "orthomatdot", "--m", "2", "--workers", "5",
+            "--kill", "1,2", "--n1", dims[0], "--n2", dims[1], "--n3", dims[2],
+        )
+        assert code == 1
+        assert out.startswith("error=plan key 'dims' must hold positive integers")
+        assert "relative_error" not in out
+
+    def test_singular_survivor_set_is_a_runtime_error(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mm", "--scheme", "matdot", "--m", "40", "--workers", "80", "--kill", "1",
+        )
+        assert code == 1
+        assert out == "error=singular decode for the requested survivor set\n"
 
     def test_exhaustive_stdout_equals_sweep_of_the_plan_row(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -196,6 +229,17 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--plan", "/nonexistent/plan.json")
         assert code == 2 and "usage error" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[{", "plan file is not valid JSON"), ('{"scheme": "chebyshev"}', "JSON array")],
+    )
+    def test_plan_file_not_a_json_array(self, capsys, tmp_path, text, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and message in err
+
 
 class TestLagrangeCommand:
     def test_records_emitted(self, capsys):
@@ -259,6 +303,11 @@ class TestBoundCommand:
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert values["violations"] == "0"
         assert float(values["bound_prob"]) == pytest.approx(5.6 / 85.0**82)
+
+    def test_domain_error_is_a_runtime_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--gauss", "--m", "2", "--workers", "5")
+        assert code == 1 and err == ""
+        assert out == "error=the bound requires m >= 3, got m=2\n"
 
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "bound")

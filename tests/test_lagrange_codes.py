@@ -32,6 +32,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             LagrangeConfig(m=7, workers=6, dim=1, deg_f=1)
 
+    @pytest.mark.parametrize(
+        "fields, text",
+        [
+            ({"m": 0}, "at least one data point"),
+            ({"dim": 0}, "input dimension must be positive"),
+            ({"deg_f": 0}, "map degree must be at least 1"),
+        ],
+    )
+    def test_non_positive_fields_rejected(self, fields, text):
+        with pytest.raises(ValueError, match=text):
+            LagrangeConfig(**{"m": 2, "workers": 5, "dim": 3, "deg_f": 1, **fields})
+
     def test_anchors_are_leading_grid_points(self):
         cfg = LagrangeConfig(m=3, workers=8, dim=1, deg_f=1)
         assert np.array_equal(cfg.anchors, cheb_grid(8).points[:3])
@@ -110,6 +122,11 @@ class TestDecode:
         cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)
         with pytest.raises(ValueError):
             lagrange_decode(cfg, linear_map([1.0, 1.0]), (1, 2), np.ones((2, 1)))
+
+    def test_wrong_output_shape_rejected(self):
+        cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)
+        with pytest.raises(ValueError, match=r"expected outputs of shape \(3, 1\)"):
+            lagrange_decode(cfg, linear_map([1.0, 1.0]), (1, 2, 3), np.ones((3, 2)))
 
     def test_unknown_basis_rejected(self):
         cfg = LagrangeConfig(m=2, workers=4, dim=1, deg_f=1)

@@ -22,6 +22,7 @@ from chebcoded.sim_harness import (
     fit_dims,
     lagrange_stability_plan,
     parse_row,
+    plan_rows,
     records_to_csv,
     records_to_json,
     relative_error,
@@ -411,6 +412,10 @@ class TestSweep:
             (dict(VALID, metrics=[]), ["'metrics'"]),
             (dict(VALID, metric="relerr_avg"), ["'metric'"]),
             (dict(VALID, scheme="matdot", n=3), ["matdot", "split n"]),
+            (dict(VALID, P=7, delta=2, dims=[-5, 12, 12]), ["'dims'", "positive", "-5"]),
+            (dict(VALID, dims=[0, 0, 0]), ["'dims'", "positive"]),
+            (dict(VALID, delta=7), ["delta=7", "no decodable threshold"]),
+            (dict(LAGRANGE, deg_f=2), ["P-delta=8", "deg_f=2"]),
         ],
         ids=[
             "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
@@ -419,7 +424,8 @@ class TestSweep:
             "dims-int", "P-fraction", "delta-fraction",
             "seeds-fraction", "P-bool", "misspelled-key", "misspelled-fault-key",
             "matmul-deg_f", "matmul-norm", "lagrange-dims", "cond-dims", "exhaustive-samples",
-            "random-subset", "metrics-empty", "metric-alias", "matdot-n",
+            "random-subset", "metrics-empty", "metric-alias", "matdot-n", "dims-negative",
+            "dims-zero", "matmul-delta-P", "lagrange-deg_f-threshold",
         ],
     )
     def test_rejected_row_is_one_error_row_and_the_sweep_goes_on(self, row, named):
@@ -520,6 +526,68 @@ def test_record_dims_are_divisible_by_the_block_grid(scheme, workers, delta, spl
     assert record.error == ""
     grid = matmul_codes.block_grid(sim_harness.matmul_config_for(scheme, workers, delta, splits))
     assert all(d % g == 0 for d, g in zip((record.n1, record.n2, record.n3), grid))
+
+
+class TestPlanRows:
+    """Every plan builder, and the CLI's cond, mm and lagrange rows, lay
+    rows out through plan_rows."""
+
+    def test_layout(self):
+        plan = plan_rows([("orthomatdot", 9), ("matdot", 7)], 2, 90, 4, dims=(8, 8, 8), m=3)
+        assert plan == [
+            {"scheme": scheme, "P": p, "delta": 2, "dims": (8, 8, 8), "m": 3,
+             "metrics": ["relerr_worst", "relerr_avg"],
+             "fault": {"mode": "random", "samples": 90}, "seeds": [4, 5, 6, 7, 8]}
+            for scheme, p in [("orthomatdot", 9), ("matdot", 7)]
+        ]
+
+    @pytest.mark.parametrize(
+        "subsets, fault",
+        [
+            (None, {"mode": "exhaustive"}),
+            (0, {"mode": "random", "samples": 0}),
+            ((1, 3, 4), {"mode": "fixed", "subset": (1, 3, 4)}),
+        ],
+    )
+    def test_fault_object(self, subsets, fault):
+        (row,) = plan_rows([("chebyshev", 10)], 2, subsets, 3, 1, ("cond_avg",), norm="l2")
+        assert row["fault"] == fault
+        assert row["seeds"] == [3] and row["metrics"] == ["cond_avg"] and row["norm"] == "l2"
+
+    def test_rows_do_not_share_mutable_values(self):
+        first, second = plan_rows([("matdot", 7), ("matdot", 9)], 2, None, 0)
+        first["seeds"].append(99)
+        first["metrics"].append("relerr_avg")
+        first["fault"]["mode"] = "random"
+        assert second["seeds"] == [0, 1, 2, 3, 4]
+        assert second["metrics"] == ["relerr_worst", "relerr_avg"]
+        assert second["fault"] == {"mode": "exhaustive"}
+
+    def test_builder_row_orders(self):
+        assert [(r["scheme"], r["P"]) for r in table1_plan(0)[:3]] == [
+            ("matdot", 30), ("orthomatdot", 30), ("matdot", 50)
+        ]
+        assert [(r["scheme"], r["P"]) for r in condition_growth_plan(workers=(8, 9))] == [
+            ("monomial", 8), ("monomial", 9), ("chebyshev", 8), ("chebyshev", 9)
+        ]
+        lagrange = lagrange_stability_plan(workers=(8,))
+        assert [r["scheme"] for r in lagrange] == ["lagrange_chebyshev", "lagrange_monomial"]
+        assert lagrange[0]["metrics"] == ["relerr_avg", "relerr_worst"]
+
+    def test_samples_none_is_exhaustive_in_every_builder(self):
+        for plan in (
+            error_growth_plan(workers=(8,), samples=None),
+            condition_growth_plan(workers=(8,), samples=None),
+            lagrange_stability_plan(workers=(8,), samples=None),
+        ):
+            assert all(row["fault"] == {"mode": "exhaustive"} for row in plan)
+
+    def test_condition_growth_plan_samples_zero_is_an_error_row(self):
+        """Only None means exhaustive: zero samples keeps the fault
+        model's error instead of silently enumerating every subset."""
+        plan = condition_growth_plan(kinds=("chebyshev",), workers=(8,), samples=0)
+        assert plan[0]["fault"] == {"mode": "random", "samples": 0}
+        assert {r.error for r in sweep(plan)} == {"random fault mode needs samples >= 1"}
 
 
 class TestDerivedSplits:
