@@ -17,25 +17,14 @@ import argparse
 import math
 import sys
 
-from chebcoded.cli import emit_and_check
+from chebcoded.cli import emit_and_check, run
 from chebcoded.sim_harness import condition_growth_plan, sweep
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, nargs="+", default=[16, 30, 60])
-    parser.add_argument("--redundancy", type=int, default=3)
-    parser.add_argument("--norm", choices=("l2", "frobenius"), default="l2")
-    parser.add_argument("--samples", type=int, default=0,
-                        help="sampled subsets per point (0 = exhaustive)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
-
+def sweep_plan(args) -> int:
     for p in args.workers:
         subsets = math.comb(p, p - args.redundancy)
-        if not args.samples and subsets > 50000:
+        if args.samples is None and subsets > 50000:
             print(
                 f"note: the monomial row at P={p} has {subsets} subsets, one SVD each; "
                 f"consider --samples 2000",
@@ -46,10 +35,22 @@ def main(argv=None) -> int:
         workers=tuple(args.workers),
         delta=args.redundancy,
         norm=args.norm,
-        samples=args.samples or None,
+        samples=args.samples,
         seed=args.seed,
     )
     return emit_and_check(args, sweep(plan))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, nargs="+", default=[16, 30, 60])
+    parser.add_argument("--redundancy", type=int, default=3)
+    parser.add_argument("--norm", choices=("l2", "frobenius"), default="l2")
+    parser.add_argument("--samples", type=int, help="sampled subsets per point (default: every subset)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    return run(parser.parse_args(argv), sweep_plan)
 
 
 if __name__ == "__main__":

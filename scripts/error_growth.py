@@ -8,13 +8,25 @@ sampled survivor subsets, Gaussian inputs.
 import argparse
 import sys
 
-from chebcoded.cli import emit_and_check
+from chebcoded.cli import emit_and_check, run
 from chebcoded.sim_harness import error_growth_plan, sweep
 
 PAIRS = {
     "inner": ("matdot", "orthomatdot"),
     "outer": ("polynomial", "orthopoly"),
 }
+
+
+def sweep_plan(args) -> int:
+    plan = error_growth_plan(
+        schemes=PAIRS[args.pair],
+        workers=tuple(args.workers),
+        delta=args.redundancy,
+        dims=(args.dims, args.dims, args.dims),
+        samples=args.samples,
+        seed=args.seed,
+    )
+    return emit_and_check(args, sweep(plan))
 
 
 def main(argv=None) -> int:
@@ -27,17 +39,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
-
-    plan = error_growth_plan(
-        schemes=PAIRS[args.pair],
-        workers=tuple(args.workers),
-        delta=args.redundancy,
-        dims=(args.dims, args.dims, args.dims),
-        samples=args.samples,
-        seed=args.seed,
-    )
-    return emit_and_check(args, sweep(plan))
+    return run(parser.parse_args(argv), sweep_plan)
 
 
 if __name__ == "__main__":

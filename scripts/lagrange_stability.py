@@ -7,8 +7,20 @@ with two redundant workers and a degree-1 map on Gaussian data.
 import argparse
 import sys
 
-from chebcoded.cli import emit_and_check
+from chebcoded.cli import emit_and_check, run
 from chebcoded.sim_harness import lagrange_stability_plan, sweep
+
+
+def sweep_plan(args) -> int:
+    plan = lagrange_stability_plan(
+        workers=tuple(args.workers),
+        delta=args.redundancy,
+        dim=args.dim,
+        deg_f=args.degf,
+        samples=args.samples,
+        seed=args.seed,
+    )
+    return emit_and_check(args, sweep(plan))
 
 
 def main(argv=None) -> int:
@@ -21,17 +33,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
-
-    plan = lagrange_stability_plan(
-        workers=tuple(args.workers),
-        delta=args.redundancy,
-        dim=args.dim,
-        deg_f=args.degf,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    return emit_and_check(args, sweep(plan))
+    return run(parser.parse_args(argv), sweep_plan)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ error table), sweep (run a JSON plan file), lagrange (Lagrange-coding
 error trials), bound (condition-bound checks), selftest (re-run the
 package's end-to-end checks).
 
+Each subcommand declares only the flags its handler reads.
 Exit codes: 0 success, 2 usage error (one-line diagnostic on stderr),
 1 runtime failure (machine-parsable ``error=`` line on stdout).
-The CCC_SEED environment variable overrides --seed everywhere.
+The CCC_SEED environment variable overrides --seed (see :func:`run`).
 """
 
 from __future__ import annotations
@@ -25,18 +26,22 @@ from .cheb_vandermonde import gaussian_bound_trial, subset_cond_stats, theorem_b
 from .linalg import Rng
 from .poly_basis import cheb_grid
 
-__all__ = ["main", "entrypoint", "emit_and_check"]
+__all__ = ["main", "entrypoint", "run", "emit_and_check"]
 
 
 class UsageError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--quiet", action="store_true", help="suppress informational lines")
-    parser.add_argument("--seed", type=int, default=0)
+def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    specs = {
+        "--out": {"metavar": "PATH", "help": "write output to PATH instead of stdout"},
+        "--format": {"choices": ("csv", "json"), "default": "csv"},
+        "--quiet": {"action": "store_true", "help": "suppress informational lines"},
+        "--seed": {"type": int, "default": 0},
+    }
+    for name in names:
+        parser.add_argument(name, **specs[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,16 +49,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cond", help="worst/average condition number over decode submatrices")
+    p.set_defaults(handler=_cmd_cond)
     p.add_argument("--basis", choices=GENERATOR_KINDS, required=True)
     p.add_argument("--points", type=int, required=True, help="number of evaluation points (P)")
-    p.add_argument("--rows", type=int, help="generator rows k (default: points - redundancy)")
-    p.add_argument("--redundancy", type=int, help="points - rows")
+    p.add_argument("--redundancy", type=int, required=True, help="points - generator rows")
     p.add_argument("--norm", choices=("l2", "frobenius"), default="l2")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=20000)
-    _common_flags(p)
+    p.add_argument("--samples", type=int, help="sampled subsets (default: every subset)")
+    _shared_flags(p, "--out", "--format", "--seed")
 
     p = sub.add_parser("mm", help="run one coded matrix multiplication")
+    p.set_defaults(handler=_cmd_mm)
     p.add_argument("--scheme", choices=matmul_codes.FAMILIES, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -66,37 +71,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=120)
     p.add_argument("--n2", type=int, default=120)
     p.add_argument("--n3", type=int, default=120)
-    _common_flags(p)
+    _shared_flags(p, "--out", "--format", "--quiet", "--seed")
 
     p = sub.add_parser("table1", help="worst/average error table at redundancy 3")
+    p.set_defaults(handler=_cmd_table1)
     p.add_argument("--dims", type=int, default=120, help="requested N1=N2=N3 before split fitting")
-    _common_flags(p)
+    _shared_flags(p, "--out", "--format", "--seed")
 
     p = sub.add_parser("sweep", help="run a JSON plan file")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--plan", metavar="FILE.json", required=True)
-    _common_flags(p)
+    _shared_flags(p, "--out", "--format")
 
     p = sub.add_parser("lagrange", help="Lagrange coded computing error trial")
-    p.add_argument("--m", type=int, help="data points (default workers - 2)")
+    p.set_defaults(handler=_cmd_lagrange)
+    p.add_argument("--m", type=int, help="data points (default: (workers - 3) // degf + 1)")
     p.add_argument("--workers", type=int, required=True)
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--degf", type=int, default=1)
     p.add_argument("--basis", choices=lagrange_codes.DECODE_BASES, default="chebyshev")
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="random")
-    p.add_argument("--samples", type=int, default=50)
-    _common_flags(p)
+    subsets = p.add_mutually_exclusive_group()
+    subsets.add_argument("--exhaustive", action="store_true", help="decode from every survivor subset")
+    subsets.add_argument("--samples", type=int, default=50, help="sampled survivor subsets")
+    _shared_flags(p, "--out", "--format", "--seed")
 
     p = sub.add_parser("bound", help="condition-bound checks")
+    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--n", type=int, help="grid size for the growth-rate check")
     p.add_argument("--s", type=int, help="redundancy for the growth-rate check")
     p.add_argument("--gauss", action="store_true", help="Monte-Carlo Gaussian bound instead")
     p.add_argument("--m", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--trials", type=int, default=500)
-    _common_flags(p)
+    _shared_flags(p, "--out", "--format", "--quiet", "--seed")
 
     p = sub.add_parser("selftest", help="re-run the package's end-to-end checks")
-    _common_flags(p)
+    p.set_defaults(handler=_cmd_selftest)
+    _shared_flags(p, "--quiet")
 
     return parser
 
@@ -116,18 +127,10 @@ def _emit_lines(args, pairs) -> None:
 
 
 def _cmd_cond(args) -> int:
-    if args.rows is None and args.redundancy is None:
-        raise UsageError("cond needs --rows or --redundancy")
-    rows = args.rows if args.rows is not None else args.points - args.redundancy
-    if args.redundancy is not None and rows != args.points - args.redundancy:
-        raise UsageError(
-            f"--rows {args.rows} and --redundancy {args.redundancy} disagree at P={args.points}"
-        )
-    if not 1 <= rows <= args.points:
-        raise UsageError(f"rows={rows} out of range [1, {args.points}]")
-    samples = args.samples if args.mode == "sampled" else None
+    if not 0 <= args.redundancy < args.points:
+        raise UsageError(f"redundancy={args.redundancy} out of range [0, {args.points - 1}]")
     plan = sim_harness.condition_growth_plan(
-        (args.basis,), (args.points,), args.points - rows, args.norm, samples, args.seed
+        (args.basis,), (args.points,), args.redundancy, args.norm, args.samples, args.seed
     )
     return emit_and_check(args, sim_harness.sweep(plan))
 
@@ -194,11 +197,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lagrange(args) -> int:
-    m = args.m if args.m is not None else args.workers - 2
-    samples = args.samples if args.mode == "random" else None
+    if args.degf < 1:
+        raise UsageError(f"--degf must be at least 1, got {args.degf}")
+    m = args.m if args.m is not None else (args.workers - 3) // args.degf + 1
     plan = sim_harness.plan_rows(
         [(f"lagrange_{args.basis}", args.workers)], args.workers - ((m - 1) * args.degf + 1),
-        samples, args.seed, m=m, dim=args.dim, deg_f=args.degf,
+        None if args.exhaustive else args.samples, args.seed, dim=args.dim, deg_f=args.degf,
     )
     return emit_and_check(args, sim_harness.sweep(plan))
 
@@ -257,34 +261,29 @@ def emit_and_check(args, records) -> int:
     return 0
 
 
-_COMMANDS = {
-    "cond": _cmd_cond,
-    "mm": _cmd_mm,
-    "table1": _cmd_table1,
-    "sweep": _cmd_sweep,
-    "lagrange": _cmd_lagrange,
-    "bound": _cmd_bound,
-    "selftest": _cmd_selftest,
-}
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "CCC_SEED" in os.environ and hasattr(args, "seed"):
-        try:
-            args.seed = int(os.environ["CCC_SEED"])
-        except ValueError:
-            print("usage error: CCC_SEED must be an integer", file=sys.stderr)
-            return 2
+def run(args, command) -> int:
+    """``command(args)`` under this module's exit codes, after CCC_SEED (which
+    must be an integer) has replaced ``args.seed`` where the command has one."""
     try:
-        return _COMMANDS[args.command](args)
+        if "CCC_SEED" in os.environ:
+            try:
+                seed = int(os.environ["CCC_SEED"])
+            except ValueError:
+                raise UsageError("CCC_SEED must be an integer") from None
+            if hasattr(args, "seed"):
+                args.seed = seed
+        return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error={exc}")
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args, args.handler)
 
 
 def entrypoint() -> None:

@@ -196,7 +196,8 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndar
     back so the precomputed eval table can be reused unchanged.  Subsets
     are replayed in the chunks of :func:`chebcoded.cheb_vandermonde.survivor_chunks`:
     one stacked :func:`chebcoded.linalg.solve` gives the weights of the
-    whole chunk and one GEMM its estimates.
+    whole chunk, and its estimates take one matrix-vector product per
+    subset against the shared eval table.
     Singular lanes (NaN weights) and overflowing ones report the infinity
     sentinel.  Every lane is computed on its own, so results do not depend
     on the chunk size.
@@ -374,15 +375,14 @@ class PlanRow:
     seeds: tuple[int, ...] = _key(_list(_int), {"*": MISSING, "cond": [0]}, (0,))
     fault: FaultModel | None = _key(_fault, {"*": {"mode": "exhaustive"}})
     dims: tuple[int, ...] | None = _key(_dims, {"matmul": [120, 120, 120]})
-    m: int | None = _key(_int, {"matmul": None, "lagrange": None})
+    m: int | None = _key(_int, {"matmul": None})
     n: int | None = _key(_int, {"matmul": None})
     m1: int | None = _key(_int, {"matmul": None})
     m2: int | None = _key(_int, {"matmul": None})
     m3: int | None = _key(_int, {"matmul": None})
     dim: int | None = _key(_int, {"lagrange": 10})
     deg_f: int | None = _key(_int, {"lagrange": 1})
-    rows: int | None = _key(_int, {"cond": None})
-    norm: str | None = _key(_one_of("norm", ("l2", "spectral", "frobenius")), {"cond": "l2"})
+    norm: str | None = _key(_one_of("norm", ("l2", "frobenius")), {"cond": "l2"})
     kind: str | None = None
     error: Exception | None = None
 
@@ -431,17 +431,18 @@ def _matmul_part(row: PlanRow):
 
 
 def _lagrange_part(row: PlanRow):
-    workers, delta, deg_f, dim, m = row.P, row.delta, row.deg_f, row.dim, row.m
-    if m is None and (deg_f < 1 or (workers - delta - 1) % deg_f):
+    workers, delta, deg_f, dim = row.P, row.delta, row.deg_f, row.dim
+    if deg_f < 1 or (workers - delta - 1) % deg_f:
         raise ValueError(f"P-delta={workers - delta} is not a valid threshold for deg_f={deg_f}")
-    m = (workers - delta - 1) // deg_f + 1 if m is None else m
+    m = (workers - delta - 1) // deg_f + 1
     config = lagrange_codes.LagrangeConfig(m=m, workers=workers, dim=dim, deg_f=deg_f)
     basis = row.scheme.removeprefix("lagrange_")
 
     def trial(seed: int) -> SubsetStats:
         rng = Rng(seed)
         data = gaussian_matrix(rng, m, dim)
-        f = lagrange_codes.linear_map(rng.normals(dim))
+        y = rng.normals(dim)
+        f = lagrange_codes.PolyMap(dim, 1, lambda x: np.atleast_1d(y @ x) ** deg_f)
         return run_lagrange_trial(config, f, data, replace(row.fault, seed=seed), basis)
 
     return config.threshold, (dim, 1, m), trial
@@ -450,7 +451,7 @@ def _lagrange_part(row: PlanRow):
 def _cond_part(row: PlanRow):
     if row.fault.mode == "fixed":
         raise ValueError("cond rows take an exhaustive or random fault, not a fixed one")
-    k = row.P - row.delta if row.rows is None else row.rows
+    k = row.P - row.delta
     norm = "frobenius" if row.norm == "frobenius" else "spectral"  # l2 is spectral
     points = cheb_grid(row.P).points
 
@@ -488,9 +489,7 @@ def _run_row(row: PlanRow) -> list[ExperimentRecord]:
         )
     if threshold + row.delta != row.P:
         raise ValueError(f"threshold {threshold} + delta {row.delta} does not equal P={row.P}")
-    # a cond row runs one trial, on its first seed
-    seeds = row.seeds[:1] if row.kind == "cond" else row.seeds
-    trials = [trial(seed) for seed in seeds]
+    trials = [trial(seed) for seed in row.seeds]
     worst = sum(t.worst for t in trials) / len(trials)
     average = sum(t.average for t in trials) / len(trials)
     return _records(row, threshold, worst, average, dims, row.fault.label())

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from chebcoded.cli import main
+from chebcoded import selfcheck, sim_harness
+from chebcoded.cli import build_parser, main
 from chebcoded.sim_harness import CSV_HEADER
 
 
@@ -16,8 +18,7 @@ class TestCond:
     def test_small_exhaustive_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "cond", "--basis", "chebyshev", "--rows", "8", "--points", "10",
-            "--redundancy", "2", "--norm", "l2", "--mode", "exhaustive",
+            "cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2", "--norm", "l2",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -28,23 +29,31 @@ class TestCond:
         assert worst["scheme"] == "chebyshev" and worst["P"] == "10"
 
     def test_rows_redundancy_conflict(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "cond", "--basis", "chebyshev", "--rows", "8", "--points", "10",
-            "--redundancy", "3",
-        )
-        assert code == 2
-        assert "usage error" in err
+        # there is no --rows flag: the rows are always points - redundancy
+        with pytest.raises(SystemExit) as info:
+            main(["cond", "--basis", "chebyshev", "--rows", "8", "--points", "10",
+                  "--redundancy", "3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --rows 8" in capsys.readouterr().err
 
     def test_missing_rows_and_redundancy(self, capsys):
-        code, _, err = run_cli(capsys, "cond", "--basis", "monomial", "--points", "10")
-        assert code == 2 and "usage error" in err
+        with pytest.raises(SystemExit) as info:
+            main(["cond", "--basis", "monomial", "--points", "10"])
+        assert info.value.code == 2
+        assert "required: --redundancy" in capsys.readouterr().err
 
+    def test_samples_flag_samples(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cond", "--basis", "chebyshev", "--points", "12", "--redundancy", "2",
+            "--samples", "30",
+        )
+        assert code == 0
+        assert [line.split(",")[10] for line in out.splitlines()[1:]] == ["random(30)"] * 2
 
     def test_sampled_with_zero_samples_is_an_error_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "cond", "--basis", "chebyshev", "--points", "12", "--redundancy", "2",
-            "--mode", "sampled", "--samples", "0",
+            "--samples", "0",
         )
         lines = out.splitlines()
         assert code == 1 and lines[0] == CSV_HEADER and len(lines) == 4
@@ -245,13 +254,21 @@ class TestLagrangeCommand:
     def test_records_emitted(self, capsys):
         code, out, _ = run_cli(
             capsys, "lagrange", "--workers", "12", "--basis", "chebyshev",
-            "--mode", "exhaustive", "--seed", "3",
+            "--exhaustive", "--seed", "3",
         )
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 3
         assert lines[1].split(",")[0] == "lagrange_chebyshev"
         assert float(lines[1].split(",")[5]) <= 1e-7
+        assert lines[1].split(",")[10] == "exhaustive"
+
+    def test_default_m_leaves_two_redundant_workers_at_any_degree(self, capsys):
+        code, out, _ = run_cli(capsys, "lagrange", "--workers", "10", "--degf", "2")
+        assert code == 0
+        record = dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+        # m = (10 - 3) // 2 + 1 = 4 data points, threshold (4 - 1) * 2 + 1 = 7
+        assert (record["threshold"], record["delta"], record["n3"]) == ("7", "3", "4")
 
 
 class TestBoundCommand:
@@ -346,3 +363,72 @@ class TestSeedOverride:
         monkeypatch.setenv("CCC_SEED", "not-a-number")
         code, _, err = run_cli(capsys, "selftest")
         assert code == 2 and "CCC_SEED" in err
+
+
+class TestFlags:
+    """Each subcommand declares only the flags its handler reads, and each
+    setting has one spelling: a removed one exits 2."""
+
+    def test_every_declared_flag_is_read(self, capsys, monkeypatch, tmp_path):
+        out = str(tmp_path / "out")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([{"scheme": "chebyshev", "P": 6, "delta": 1,
+                                     "metrics": ["cond_worst"]}]))
+        # table1 and selftest are read, not run: their work does not read flags
+        monkeypatch.setattr(sim_harness, "table1_plan", lambda seed, dims: [])
+        monkeypatch.setattr(selfcheck, "run_all", lambda verbose: [])
+        paths = [
+            ["cond", "--basis", "chebyshev", "--points", "8", "--redundancy", "2", "--samples", "5"],
+            ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
+             "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4", "--quiet", "--out", out],
+            ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
+             "--workers", "5", "--exhaustive", "--n1", "4", "--n2", "4", "--n3", "4"],
+            ["table1"],
+            ["sweep", "--plan", str(plan)],
+            ["lagrange", "--workers", "8", "--m", "4", "--samples", "3"],
+            ["lagrange", "--workers", "6", "--exhaustive"],
+            ["bound", "--n", "6", "--s", "1", "--out", out, "--quiet"],
+            ["bound", "--gauss", "--m", "3", "--workers", "4", "--trials", "5"],
+            ["selftest"],
+        ]
+        reads = {}
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                command = object.__getattribute__(self, "command")
+                reads.setdefault(command, set()).add(name)
+                return object.__getattribute__(self, name)
+
+        parser = build_parser()
+        for argv in paths:
+            args = Recording(**vars(parser.parse_args(argv)))
+            assert args.handler(args) == 0, argv
+        capsys.readouterr()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(reads) == set(commands.choices)
+        for name, sub in commands.choices.items():
+            declared = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+            assert declared - reads[name] == set(), name
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2",
+              "--mode", "sampled", "--samples", "40"], "unrecognized arguments: --mode sampled"),
+            (["lagrange", "--workers", "8", "--mode", "exhaustive"],
+             "unrecognized arguments: --mode exhaustive"),
+            (["lagrange", "--workers", "8", "--exhaustive", "--samples", "10"],
+             "--samples: not allowed with argument --exhaustive"),
+            (["cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2", "--quiet"],
+             "unrecognized arguments: --quiet"),
+            (["sweep", "--plan", "plan.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["selftest", "--format", "json"], "unrecognized arguments: --format json"),
+        ],
+        ids=["cond-mode", "lagrange-mode", "lagrange-exhaustive-samples", "cond-quiet",
+             "sweep-seed", "selftest-format"],
+    )
+    def test_removed_or_unread_flag_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err

@@ -365,6 +365,32 @@ class TestSweep:
         assert records[0].value >= records[1].value > 1.0
         assert records[0].threshold == 8 and records[0].delta == 2
 
+    def test_cond_row_averages_over_its_seeds(self):
+        row = {"scheme": "monomial", "P": 10, "delta": 2, "metrics": ["cond_worst", "cond_avg"],
+               "fault": {"mode": "random", "samples": 5}}
+        one = [sweep([dict(row, seeds=[seed])]) for seed in (0, 1)]
+        both = sweep([dict(row, seeds=[0, 1])])
+        assert one[0][0].value != one[1][0].value
+        for i, record in enumerate(both):
+            assert record.value == (one[0][i].value + one[1][i].value) / 2
+            assert record.seed == 0
+
+    def test_lagrange_row_applies_a_map_of_degree_deg_f(self, monkeypatch):
+        maps = []
+        real = sim_harness.run_lagrange_trial
+
+        def recording(config, f, *args):
+            maps.append(f)
+            return real(config, f, *args)
+
+        monkeypatch.setattr(sim_harness, "run_lagrange_trial", recording)
+        row = {"scheme": "lagrange_chebyshev", "P": 9, "delta": 2, "dim": 3, "deg_f": 2,
+               "metrics": ["relerr_worst"], "fault": {"mode": "exhaustive"}, "seeds": [0]}
+        (record,) = sweep([row])
+        assert record.error == "" and record.value <= 1e-9
+        x = np.array([0.5, -1.0, 2.0])
+        np.testing.assert_allclose(maps[0](2 * x), 4 * maps[0](x), rtol=1e-14)
+
     VALID = {
         "scheme": "orthomatdot",
         "P": 7,
@@ -384,8 +410,9 @@ class TestSweep:
             (dict(VALID, metrics=["cond_worst"]), ["'cond_worst'", "'orthomatdot'"]),
             (dict(COND, metrics=["relerr_worst"]), ["'relerr_worst'", "'chebyshev'"]),
             (dict(VALID, delta=1, m=2), ["threshold 3", "delta 1"]),
-            (dict(LAGRANGE, m=5), ["threshold 5", "delta 2"]),
-            (dict(COND, rows=7), ["threshold 7", "delta 2"]),
+            (dict(LAGRANGE, m=5), ["'m'", "lagrange"]),
+            (dict(COND, rows=7), ["'rows'", "cond"]),
+            (dict(COND, norm="spectral"), ["unknown norm 'spectral'"]),
             (dict(COND, fault={"mode": "fixed", "subset": list(range(1, 9))}),
              ["exhaustive or random"]),
             (1, ["plan row must be an object"]),
@@ -418,8 +445,8 @@ class TestSweep:
             (dict(LAGRANGE, deg_f=2), ["P-delta=8", "deg_f=2"]),
         ],
         ids=[
-            "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-threshold",
-            "cond-threshold", "cond-fixed-fault", "row-not-object", "fault-not-object",
+            "matmul-cond-metric", "cond-relerr-metric", "matmul-threshold", "lagrange-m",
+            "cond-rows", "cond-spectral", "cond-fixed-fault", "row-not-object", "fault-not-object",
             "P-null", "P-string", "P-numeric-string", "samples-numeric-string", "seeds-int",
             "dims-int", "P-fraction", "delta-fraction",
             "seeds-fraction", "P-bool", "misspelled-key", "misspelled-fault-key",
@@ -473,7 +500,7 @@ class TestSweep:
         real_sweep = sim_harness.sweep
         monkeypatch.setattr(sim_harness, "sweep", lambda p: built.extend(p) or real_sweep(p))
         for argv in (
-            ["cond", "--basis", "chebyshev", "--points", "8", "--rows", "6"],
+            ["cond", "--basis", "chebyshev", "--points", "8", "--redundancy", "2"],
             ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
              "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4"],
             ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
