@@ -6,7 +6,10 @@ error table), sweep (run a JSON plan file), lagrange (Lagrange-coding
 error trials), bound (condition-bound checks), selftest (re-run the
 package's end-to-end checks).
 
-Each subcommand declares only the flags its handler reads.
+Each subcommand declares only the flags its handler reads, and each
+setting has one name: P is --workers, the redundancy is --redundancy.
+--out PATH replaces stdout: the output goes to PATH, and stdout keeps at
+most a final ``error=`` line.
 Exit codes: 0 success, 2 usage error (one-line diagnostic on stderr),
 1 runtime failure (machine-parsable ``error=`` line on stdout).
 The CCC_SEED environment variable overrides --seed (see :func:`run`).
@@ -15,6 +18,7 @@ The CCC_SEED environment variable overrides --seed (see :func:`run`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +39,7 @@ class UsageError(ValueError):
 
 def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     specs = {
-        "--out": {"metavar": "PATH", "help": "write output to PATH instead of stdout"},
+        "--out": {"metavar": "PATH", "help": "write the output to PATH instead of stdout"},
         "--format": {"choices": ("csv", "json"), "default": "csv"},
         "--quiet": {"action": "store_true", "help": "suppress informational lines"},
         "--seed": {"type": int, "default": 0},
@@ -46,13 +50,15 @@ def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chebcoded", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: a prefix of a flag is not a second spelling of it
+    one_spelling = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=one_spelling)
 
     p = sub.add_parser("cond", help="worst/average condition number over decode submatrices")
     p.set_defaults(handler=_cmd_cond)
     p.add_argument("--basis", choices=GENERATOR_KINDS, required=True)
-    p.add_argument("--points", type=int, required=True, help="number of evaluation points (P)")
-    p.add_argument("--redundancy", type=int, required=True, help="points - generator rows")
+    p.add_argument("--workers", type=int, required=True, help="number of evaluation points (P)")
+    p.add_argument("--redundancy", type=int, required=True, help="P - generator rows")
     p.add_argument("--norm", choices=("l2", "frobenius"), default="l2")
     p.add_argument("--samples", type=int, help="sampled subsets (default: every subset)")
     _shared_flags(p, "--out", "--format", "--seed")
@@ -71,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=120)
     p.add_argument("--n2", type=int, default=120)
     p.add_argument("--n3", type=int, default=120)
-    _shared_flags(p, "--out", "--format", "--quiet", "--seed")
+    _shared_flags(p, "--out", "--format", "--seed")
 
     p = sub.add_parser("table1", help="worst/average error table at redundancy 3")
     p.set_defaults(handler=_cmd_table1)
@@ -85,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lagrange", help="Lagrange coded computing error trial")
     p.set_defaults(handler=_cmd_lagrange)
-    p.add_argument("--m", type=int, help="data points (default: (workers - 3) // degf + 1)")
     p.add_argument("--workers", type=int, required=True)
+    p.add_argument("--redundancy", type=int, help="P - threshold (default: 2 + (P - 3) %% degf)")
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--degf", type=int, default=1)
     p.add_argument("--basis", choices=lagrange_codes.DECODE_BASES, default="chebyshev")
@@ -97,13 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="condition-bound checks")
     p.set_defaults(handler=_cmd_bound)
-    p.add_argument("--n", type=int, help="grid size for the growth-rate check")
-    p.add_argument("--s", type=int, help="redundancy for the growth-rate check")
+    p.add_argument("--workers", type=int, required=True, help="grid size / matrix columns (P)")
+    p.add_argument("--redundancy", type=int, required=True, help="S (Gaussian rows: P - S)")
     p.add_argument("--gauss", action="store_true", help="Monte-Carlo Gaussian bound instead")
-    p.add_argument("--m", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--trials", type=int, default=500)
-    _shared_flags(p, "--out", "--format", "--quiet", "--seed")
+    _shared_flags(p, "--out", "--format", "--seed")
 
     p = sub.add_parser("selftest", help="re-run the package's end-to-end checks")
     p.set_defaults(handler=_cmd_selftest)
@@ -122,15 +126,15 @@ def _emit_lines(args, pairs) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if not (args.out and args.quiet):
+    else:
         sys.stdout.write(text)
 
 
 def _cmd_cond(args) -> int:
-    if not 0 <= args.redundancy < args.points:
-        raise UsageError(f"redundancy={args.redundancy} out of range [0, {args.points - 1}]")
+    if not 0 <= args.redundancy < args.workers:
+        raise UsageError(f"redundancy={args.redundancy} out of range [0, {args.workers - 1}]")
     plan = sim_harness.condition_growth_plan(
-        (args.basis,), (args.points,), args.redundancy, args.norm, args.samples, args.seed
+        (args.basis,), (args.workers,), args.redundancy, args.norm, args.samples, args.seed
     )
     return emit_and_check(args, sim_harness.sweep(plan))
 
@@ -167,14 +171,14 @@ def _cmd_mm(args) -> int:
     records = sim_harness.sweep(plan)
     if args.exhaustive:
         return emit_and_check(args, records)
+    if args.out:
+        sim_harness.write_records(records, args.out, args.format)
     worst = records[0]
     if not math.isfinite(worst.value):  # a singular decode, or an error row
         print(f"error={worst.error or 'singular decode for the requested survivor set'}")
         return 1
-    if not args.quiet:
+    if not args.out:
         print(f"relative_error={worst.value!r}")
-    if args.out:
-        sim_harness.write_records(records, args.out, args.format)
     return 0
 
 
@@ -199,48 +203,31 @@ def _cmd_sweep(args) -> int:
 def _cmd_lagrange(args) -> int:
     if args.degf < 1:
         raise UsageError(f"--degf must be at least 1, got {args.degf}")
-    m = args.m if args.m is not None else (args.workers - 3) // args.degf + 1
+    # by default the most data points that leave at least two redundant workers
+    delta = args.redundancy if args.redundancy is not None else 2 + (args.workers - 3) % args.degf
     plan = sim_harness.plan_rows(
-        [(f"lagrange_{args.basis}", args.workers)], args.workers - ((m - 1) * args.degf + 1),
+        [(f"lagrange_{args.basis}", args.workers)], delta,
         None if args.exhaustive else args.samples, args.seed, dim=args.dim, deg_f=args.degf,
     )
     return emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_bound(args) -> int:
+    p, s = args.workers, args.redundancy
+    if not 1 <= s < p:
+        raise UsageError(f"redundancy={s} out of range [1, {p - 1}]")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.gauss:
-        if args.m is None or args.workers is None:
-            raise UsageError("bound --gauss needs --m and --workers")
-        violations, bound_prob = gaussian_bound_trial(
-            args.m, args.workers, args.trials, Rng(args.seed)
-        )
-        _emit_lines(
-            args,
-            [
-                ("m", args.m),
-                ("workers", args.workers),
-                ("trials", args.trials),
-                ("violations", violations),
-                ("violation_fraction", violations / args.trials),
-                ("bound_prob", bound_prob),
-            ],
-        )
-        return 0
-    if args.n is None or args.s is None:
-        raise UsageError("bound needs --n and --s (or --gauss --m --workers)")
-    stats = subset_cond_stats("chebyshev", args.n - args.s, cheb_grid(args.n).points, "frobenius")
-    bound = theorem_bound_value(args.n, args.s)
-    _emit_lines(
-        args,
-        [
-            ("n", args.n),
-            ("s", args.s),
-            ("kappa_f_max", stats.worst),
-            ("kappa_f_avg", stats.average),
-            ("bound", bound),
-            ("ratio", stats.worst / bound),
-        ],
-    )
+        violations, bound_prob = gaussian_bound_trial(p - s, p, args.trials, Rng(args.seed))
+        pairs = [("m", p - s), ("workers", p), ("trials", args.trials), ("violations", violations),
+                 ("violation_fraction", violations / args.trials), ("bound_prob", bound_prob)]
+    else:
+        stats = subset_cond_stats("chebyshev", p - s, cheb_grid(p).points, "frobenius")
+        bound = theorem_bound_value(p, s)
+        pairs = [("n", p), ("s", s), ("kappa_f_max", stats.worst), ("kappa_f_avg", stats.average),
+                 ("bound", bound), ("ratio", stats.worst / bound)]
+    _emit_lines(args, pairs)
     return 0
 
 

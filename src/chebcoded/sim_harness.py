@@ -69,8 +69,6 @@ __all__ = [
     "write_records",
 ]
 
-CSV_HEADER = "scheme,P,threshold,delta,metric,value,seed,n1,n2,n3,subset_mode,error"
-
 METRICS = ("cond_worst", "cond_avg", "relerr_worst", "relerr_avg")
 
 LAGRANGE_SCHEMES = tuple("lagrange_" + basis for basis in lagrange_codes.DECODE_BASES)
@@ -262,10 +260,10 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One emitted row; field order matches the CSV schema."""
+    """One emitted row; its field names, in order, are the CSV header."""
 
     scheme: str
-    workers: int
+    P: int
     threshold: int
     delta: int
     metric: str
@@ -279,6 +277,7 @@ class ExperimentRecord:
 
 
 _FIELDS = [f.name for f in fields(ExperimentRecord)]
+CSV_HEADER = ",".join(_FIELDS)
 
 
 def records_to_csv(records) -> str:
@@ -291,7 +290,7 @@ def records_to_csv(records) -> str:
 
 def records_to_json(records) -> str:
     """Records as a strict JSON list (RFC 8259): a non-finite value is null."""
-    rows = [{("P" if k == "workers" else k): getattr(r, k) for k in _FIELDS} for r in records]
+    rows = [{k: getattr(r, k) for k in _FIELDS} for r in records]
     for row in rows:
         row["value"] = row["value"] if math.isfinite(row["value"]) else None
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
@@ -492,7 +491,10 @@ def _run_row(row: PlanRow) -> list[ExperimentRecord]:
     trials = [trial(seed) for seed in row.seeds]
     worst = sum(t.worst for t in trials) / len(trials)
     average = sum(t.average for t in trials) / len(trials)
-    return _records(row, threshold, worst, average, dims, row.fault.label())
+    mode = row.fault.label()
+    if row.fault.mode == "random" and row.fault.samples >= math.comb(row.P, threshold):
+        mode = "exhaustive"  # a draw of every subset replays them all, in lexicographic order
+    return _records(row, threshold, worst, average, dims, mode)
 
 
 def sweep(plan) -> list[ExperimentRecord]:

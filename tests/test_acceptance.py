@@ -51,7 +51,7 @@ def rel_err(truth, got):
 
 def metric_table(records, metric):
     return {
-        (r.scheme, r.workers): r.value for r in records if r.metric == metric and not r.error
+        (r.scheme, r.P): r.value for r in records if r.metric == metric and not r.error
     }
 
 

@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +16,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def declared_flags():
+    """Each subcommand's declared option strings, by introspecting the parser."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+
+
 class TestCond:
     def test_small_exhaustive_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2", "--norm", "l2",
+            "cond", "--basis", "chebyshev", "--workers", "10", "--redundancy", "2", "--norm", "l2",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -29,22 +40,22 @@ class TestCond:
         assert worst["scheme"] == "chebyshev" and worst["P"] == "10"
 
     def test_rows_redundancy_conflict(self, capsys):
-        # there is no --rows flag: the rows are always points - redundancy
+        # there is no --rows flag: the rows are always workers - redundancy
         with pytest.raises(SystemExit) as info:
-            main(["cond", "--basis", "chebyshev", "--rows", "8", "--points", "10",
+            main(["cond", "--basis", "chebyshev", "--rows", "8", "--workers", "10",
                   "--redundancy", "3"])
         assert info.value.code == 2
         assert "unrecognized arguments: --rows 8" in capsys.readouterr().err
 
     def test_missing_rows_and_redundancy(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["cond", "--basis", "monomial", "--points", "10"])
+            main(["cond", "--basis", "monomial", "--workers", "10"])
         assert info.value.code == 2
         assert "required: --redundancy" in capsys.readouterr().err
 
     def test_samples_flag_samples(self, capsys):
         code, out, _ = run_cli(
-            capsys, "cond", "--basis", "chebyshev", "--points", "12", "--redundancy", "2",
+            capsys, "cond", "--basis", "chebyshev", "--workers", "12", "--redundancy", "2",
             "--samples", "30",
         )
         assert code == 0
@@ -52,7 +63,7 @@ class TestCond:
 
     def test_sampled_with_zero_samples_is_an_error_row(self, capsys):
         code, out, _ = run_cli(
-            capsys, "cond", "--basis", "chebyshev", "--points", "12", "--redundancy", "2",
+            capsys, "cond", "--basis", "chebyshev", "--workers", "12", "--redundancy", "2",
             "--samples", "0",
         )
         lines = out.splitlines()
@@ -273,14 +284,14 @@ class TestLagrangeCommand:
 
 class TestBoundCommand:
     def test_growth_rate_check(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--n", "8", "--s", "2")
+        code, out, _ = run_cli(capsys, "bound", "--workers", "8", "--redundancy", "2")
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert float(values["kappa_f_max"]) <= 5.0 * float(values["bound"])
 
     def test_gauss_check(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bound", "--gauss", "--m", "3", "--workers", "4", "--trials", "50"
+            capsys, "bound", "--gauss", "--workers", "4", "--redundancy", "1", "--trials", "50"
         )
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -289,7 +300,7 @@ class TestBoundCommand:
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bound", "--n", "6", "--s", "1", "--format", "json"
+            capsys, "bound", "--workers", "6", "--redundancy", "1", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
@@ -297,7 +308,7 @@ class TestBoundCommand:
 
     def test_growth_rate_bound_beyond_float_range_reads_inf(self, capsys):
         # (2n^2)^(s-1) = 12800^78 leaves float range
-        code, out, _ = run_cli(capsys, "bound", "--n", "80", "--s", "79")
+        code, out, _ = run_cli(capsys, "bound", "--workers", "80", "--redundancy", "79")
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert values["bound"] == "inf" and values["ratio"] == "0.0"
@@ -305,7 +316,7 @@ class TestBoundCommand:
 
     def test_json_writes_an_infinite_bound_as_null(self, capsys):
         code, out, _ = run_cli(
-            capsys, "bound", "--n", "80", "--s", "79", "--format", "json"
+            capsys, "bound", "--workers", "80", "--redundancy", "79", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out, parse_constant=lambda token: pytest.fail(token))
@@ -314,7 +325,7 @@ class TestBoundCommand:
     def test_gauss_threshold_beyond_float_range(self, capsys):
         # the threshold 3 * 85^164 leaves float range; 98,770 subsets fit the budget
         code, out, _ = run_cli(
-            capsys, "bound", "--gauss", "--m", "3", "--workers", "85", "--trials", "1"
+            capsys, "bound", "--gauss", "--workers", "85", "--redundancy", "82", "--trials", "1"
         )
         assert code == 0
         values = dict(line.split("=", 1) for line in out.strip().splitlines())
@@ -322,13 +333,30 @@ class TestBoundCommand:
         assert float(values["bound_prob"]) == pytest.approx(5.6 / 85.0**82)
 
     def test_domain_error_is_a_runtime_error_line(self, capsys):
-        code, out, err = run_cli(capsys, "bound", "--gauss", "--m", "2", "--workers", "5")
+        code, out, err = run_cli(capsys, "bound", "--gauss", "--workers", "5", "--redundancy", "3")
         assert code == 1 and err == ""
         assert out == "error=the bound requires m >= 3, got m=2\n"
 
     def test_missing_arguments(self, capsys):
-        code, _, err = run_cli(capsys, "bound")
-        assert code == 2 and "usage error" in err
+        with pytest.raises(SystemExit) as info:
+            main(["bound"])
+        assert info.value.code == 2
+        assert "required: --workers, --redundancy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--redundancy", "0"], "redundancy=0 out of range [1, 5]"),
+            (["--redundancy", "6"], "redundancy=6 out of range [1, 5]"),
+            (["--gauss", "--redundancy", "6"], "redundancy=6 out of range [1, 5]"),
+            (["--redundancy", "1", "--trials", "0"], "--trials must be at least 1, got 0"),
+        ],
+        ids=["redundancy-0", "redundancy-P", "gauss-redundancy-P", "trials-0"],
+    )
+    def test_out_of_range_setting_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bound", "--workers", "6", *argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {message}\n"
 
 
 class TestSelftest:
@@ -378,17 +406,17 @@ class TestFlags:
         monkeypatch.setattr(sim_harness, "table1_plan", lambda seed, dims: [])
         monkeypatch.setattr(selfcheck, "run_all", lambda verbose: [])
         paths = [
-            ["cond", "--basis", "chebyshev", "--points", "8", "--redundancy", "2", "--samples", "5"],
+            ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2", "--samples", "5"],
             ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
-             "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4", "--quiet", "--out", out],
+             "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4", "--out", out],
             ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
              "--workers", "5", "--exhaustive", "--n1", "4", "--n2", "4", "--n3", "4"],
             ["table1"],
             ["sweep", "--plan", str(plan)],
-            ["lagrange", "--workers", "8", "--m", "4", "--samples", "3"],
+            ["lagrange", "--workers", "8", "--redundancy", "4", "--samples", "3"],
             ["lagrange", "--workers", "6", "--exhaustive"],
-            ["bound", "--n", "6", "--s", "1", "--out", out, "--quiet"],
-            ["bound", "--gauss", "--m", "3", "--workers", "4", "--trials", "5"],
+            ["bound", "--workers", "6", "--redundancy", "1", "--out", out],
+            ["bound", "--gauss", "--workers", "4", "--redundancy", "1", "--trials", "5"],
             ["selftest"],
         ]
         reads = {}
@@ -404,31 +432,140 @@ class TestFlags:
             args = Recording(**vars(parser.parse_args(argv)))
             assert args.handler(args) == 0, argv
         capsys.readouterr()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(reads) == set(commands.choices)
-        for name, sub in commands.choices.items():
-            declared = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
-            assert declared - reads[name] == set(), name
+        declared = declared_flags()
+        assert set(reads) == set(declared)
+        for name, flags in declared.items():
+            assert {flag[2:] for flag in flags} - reads[name] == set(), name
+
+    def test_each_setting_has_one_flag_and_each_flag_one_meaning(self):
+        declared = declared_flags()
+        assert [name for name, flags in declared.items() if "--m" in flags] == ["mm"]
+        assert [name for name, flags in declared.items() if "--n" in flags] == ["mm"]
+        assert [name for name, flags in declared.items() if "--quiet" in flags] == ["selftest"]
+        assert not any({"--points", "--s", "--rows", "--mode"} & flags for flags in declared.values())
+        assert sum(map(len, declared.values())) == 48
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2",
+            (["cond", "--basis", "chebyshev", "--workers", "10", "--redundancy", "2",
               "--mode", "sampled", "--samples", "40"], "unrecognized arguments: --mode sampled"),
             (["lagrange", "--workers", "8", "--mode", "exhaustive"],
              "unrecognized arguments: --mode exhaustive"),
             (["lagrange", "--workers", "8", "--exhaustive", "--samples", "10"],
              "--samples: not allowed with argument --exhaustive"),
-            (["cond", "--basis", "chebyshev", "--points", "10", "--redundancy", "2", "--quiet"],
+            (["cond", "--basis", "chebyshev", "--workers", "10", "--redundancy", "2", "--quiet"],
              "unrecognized arguments: --quiet"),
             (["sweep", "--plan", "plan.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["selftest", "--format", "json"], "unrecognized arguments: --format json"),
+            (["cond", "--basis", "chebyshev", "--workers", "10", "--redundancy", "2",
+              "--points", "10"], "unrecognized arguments: --points 10"),
+            (["bound", "--workers", "6", "--redundancy", "1", "--n", "6"],
+             "unrecognized arguments: --n 6"),
+            # not read as an abbreviation of --seed
+            (["bound", "--workers", "6", "--redundancy", "1", "--s", "1"],
+             "unrecognized arguments: --s 1"),
+            (["bound", "--gauss", "--workers", "4", "--redundancy", "1", "--m", "3"],
+             "unrecognized arguments: --m 3"),
+            (["lagrange", "--workers", "8", "--m", "4"], "unrecognized arguments: --m 4"),
+            (["mm", "--scheme", "matdot", "--m", "2", "--workers", "6", "--kill", "1,2,3",
+              "--quiet"], "unrecognized arguments: --quiet"),
+            (["bound", "--workers", "6", "--redundancy", "1", "--out", "x", "--quiet"],
+             "unrecognized arguments: --quiet"),
         ],
         ids=["cond-mode", "lagrange-mode", "lagrange-exhaustive-samples", "cond-quiet",
-             "sweep-seed", "selftest-format"],
+             "sweep-seed", "selftest-format", "cond-points", "bound-n", "bound-s", "bound-gauss-m",
+             "lagrange-m", "mm-quiet", "bound-quiet"],
     )
     def test_removed_or_unread_flag_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_documented_synopses_use_declared_flags(self):
+        # a backticked synopsis that starts with a subcommand (after an
+        # optional "chebcoded ") may only name flags that subcommand declares
+        declared = declared_flags()
+        synopsis = re.compile(r"`(?:chebcoded )?(" + "|".join(declared) + r")(?=[\s`])([^`]*)`")
+        root = Path(__file__).parents[1]
+        for doc in ("README.md", "docs/plots.md"):
+            text = re.sub(r"^```.*?^```", "", (root / doc).read_text(), flags=re.M | re.S)
+            found = synopsis.findall(text)
+            assert found, doc
+            for name, rest in found:
+                flags = set(re.findall(r"--[a-z][a-z0-9-]*", rest))
+                assert flags <= declared[name], (doc, name, " ".join(rest.split()))
+
+
+class TestOut:
+    """--out PATH replaces stdout: PATH holds the output, and stdout at most
+    a final error= line."""
+
+    RUNS = {
+        "cond": ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2"],
+        "mm": ["mm", "--scheme", "orthomatdot", "--m", "2", "--workers", "6", "--exhaustive",
+               "--n1", "8", "--n2", "8", "--n3", "8"],
+        "table1": ["table1", "--dims", "6", "--seed", "2"],
+        "sweep": ["sweep", "--plan", "plan.json", "--format", "json"],
+        "lagrange": ["lagrange", "--workers", "8", "--samples", "3"],
+        "bound": ["bound", "--workers", "6", "--redundancy", "1"],
+        "bound --gauss": ["bound", "--gauss", "--workers", "4", "--redundancy", "1", "--trials", "5"],
+    }
+
+    @pytest.fixture
+    def small(self, monkeypatch, tmp_path):
+        """Run in tmp_path, with sweep's plan.json there and table1 on one small row."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            sim_harness, "table1_plan",
+            lambda seed, dims: sim_harness.error_growth_plan(("matdot",), (6,), 3, dims, None, seed),
+        )
+        plan = sim_harness.condition_growth_plan(("monomial",), (7,), 2)
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        return tmp_path / "out"
+
+    def test_every_subcommand_with_out_is_covered(self):
+        taking = {name for name, flags in declared_flags().items() if "--out" in flags}
+        assert taking == {argv[0] for argv in self.RUNS.values()}
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_out_replaces_stdout(self, capsys, small, name):
+        argv = self.RUNS[name]
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0 and printed
+        code, out, _ = run_cli(capsys, *argv, "--out", str(small))
+        assert code == 0 and out == ""
+        assert small.read_text() == printed
+
+    def test_kill_writes_records_instead_of_its_line(self, capsys, small):
+        argv = ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
+                "--kill", "2,5", "--n1", "8", "--n2", "8", "--n3", "8"]
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0 and printed.startswith("relative_error=")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(small))
+        assert code == 0 and out == ""
+        lines = small.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+        worst = dict(zip(CSV_HEADER.split(","), lines[1].split(",")))
+        assert worst["metric"] == "relerr_worst" and worst["subset_mode"] == "fixed(1;3;4;6)"
+        assert printed == f"relative_error={worst['value']}\n"
+
+    def test_singular_kill_writes_records_then_the_error_line(self, capsys, small):
+        code, out, _ = run_cli(
+            capsys, "mm", "--scheme", "matdot", "--m", "40", "--workers", "80", "--kill", "1",
+            "--n1", "8", "--n2", "40", "--n3", "8", "--out", str(small),
+        )
+        assert code == 1
+        assert out == "error=singular decode for the requested survivor set\n"
+        lines = small.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+        assert [line.split(",")[5] for line in lines[1:]] == ["inf", "inf"]
+
+    def test_error_row_keeps_only_the_error_line_on_stdout(self, capsys, small):
+        code, out, _ = run_cli(
+            capsys, "cond", "--basis", "chebyshev", "--workers", "12", "--redundancy", "2",
+            "--samples", "0", "--out", str(small),
+        )
+        assert code == 1 and out == "error=random fault mode needs samples >= 1\n"
+        assert small.read_text().splitlines()[0] == CSV_HEADER

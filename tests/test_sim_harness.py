@@ -235,7 +235,7 @@ class TestLagrangeTrial:
 class TestRecordsSerialization:
     RECORD = ExperimentRecord(
         scheme="orthomatdot",
-        workers=30,
+        P=30,
         threshold=27,
         delta=3,
         metric="relerr_worst",
@@ -364,6 +364,26 @@ class TestSweep:
         assert records[0].metric == "cond_worst"
         assert records[0].value >= records[1].value > 1.0
         assert records[0].threshold == 8 and records[0].delta == 2
+
+    @pytest.mark.parametrize(
+        "pairs, delta, keys",
+        [
+            ((("chebyshev", 8),), 2, {"metrics": ("cond_worst", "cond_avg"), "norm": "l2"}),
+            ((("orthomatdot", 7),), 2, {"dims": (8, 8, 8)}),
+            ((("lagrange_monomial", 8),), 2, {"dim": 3, "deg_f": 1}),
+        ],
+        ids=["cond", "matmul", "lagrange"],
+    )
+    def test_sampling_every_subset_is_the_exhaustive_row(self, pairs, delta, keys):
+        # C(P, P - delta) subsets: 28 at P=8, 21 at P=7; more samples than that
+        # replay them all in lexicographic order, and the label says so
+        total = math.comb(pairs[0][1], delta)
+        exhaustive = records_to_csv(sweep(plan_rows(pairs, delta, None, 4, 2, **keys)))
+        for samples in (total, 5000):
+            rows = plan_rows(pairs, delta, samples, 4, 2, **keys)
+            assert records_to_csv(sweep(rows)) == exhaustive
+        fewer = sweep(plan_rows(pairs, delta, total - 1, 4, 2, **keys))
+        assert fewer[0].subset_mode == f"random({total - 1})"
 
     def test_cond_row_averages_over_its_seeds(self):
         row = {"scheme": "monomial", "P": 10, "delta": 2, "metrics": ["cond_worst", "cond_avg"],
@@ -500,12 +520,12 @@ class TestSweep:
         real_sweep = sim_harness.sweep
         monkeypatch.setattr(sim_harness, "sweep", lambda p: built.extend(p) or real_sweep(p))
         for argv in (
-            ["cond", "--basis", "chebyshev", "--points", "8", "--redundancy", "2"],
+            ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2"],
             ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
              "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4"],
             ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
              "--workers", "5", "--exhaustive", "--n1", "4", "--n2", "4", "--n3", "4"],
-            ["lagrange", "--workers", "8", "--m", "4", "--degf", "2", "--samples", "3"],
+            ["lagrange", "--workers", "8", "--redundancy", "1", "--degf", "2", "--samples", "3"],
         ):
             assert cli.main(argv) == 0
         assert len(built) == 4
