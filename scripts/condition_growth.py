@@ -42,7 +42,8 @@ def sweep_plan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no abbreviations: a prefix of a flag is not a second spelling of it
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--workers", type=int, nargs="+", default=[16, 30, 60])
     parser.add_argument("--redundancy", type=int, default=3)
     parser.add_argument("--norm", choices=("l2", "frobenius"), default="l2")

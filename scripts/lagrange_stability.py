@@ -24,7 +24,8 @@ def sweep_plan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no abbreviations: a prefix of a flag is not a second spelling of it
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--workers", type=int, nargs="+", default=[20, 40, 60, 80, 100])
     parser.add_argument("--redundancy", type=int, default=2)
     parser.add_argument("--dim", type=int, default=10)

@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, default=120)
     p.add_argument("--n3", type=int, default=120)
     _shared_flags(p, "--out", "--format", "--seed")
+    p.set_defaults(format=None)  # csv, but --kill tells an explicit --format apart
 
     p = sub.add_parser("table1", help="worst/average error table at redundancy 3")
     p.set_defaults(handler=_cmd_table1)
@@ -142,6 +143,9 @@ def _cmd_cond(args) -> int:
 def _cmd_mm(args) -> int:
     if bool(args.kill) == bool(args.exhaustive):
         raise UsageError("mm needs exactly one of --kill or --exhaustive")
+    if args.kill and args.format and not args.out:
+        raise UsageError("mm --kill prints one relative_error= line; --format needs --out PATH")
+    args.format = args.format or "csv"
     splits = {
         name: getattr(args, name) for name in matmul_codes.SPLITS if getattr(args, name) is not None
     }

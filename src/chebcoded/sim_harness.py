@@ -9,8 +9,8 @@ worst/average result.  The fusion weights W_R = G_R^{-1} @ recovery come
 from the same :func:`chebcoded.linalg.solve` call the library decoders
 make, so they are bitwise those of :func:`chebcoded.matmul_codes.decode`
 and :func:`chebcoded.lagrange_codes.lagrange_decode`; only the estimate
-GEMM differs in shape (one product per chunk of subsets instead of one
-per decode).
+products differ in shape (one per subset and entry block of the eval
+table instead of one per decode).
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
 one path.  :func:`parse_row` parses each row once against the schema
@@ -76,6 +76,8 @@ FAULT_MODES = ("exhaustive", "random", "fixed")
 
 # Subsets are replayed in chunks whose working set stays under this many floats.
 REPLAY_CHUNK_FLOATS = 6_000_000
+# The eval table is read in entry blocks of about this many floats (256 KiB, L2-sized).
+REPLAY_BLOCK_FLOATS = 32_768
 
 # table1_plan enumerates exhaustively up to here, then samples.
 _TABLE1_EXHAUSTIVE_CAP = 20000
@@ -194,11 +196,14 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndar
     back so the precomputed eval table can be reused unchanged.  Subsets
     are replayed in the chunks of :func:`chebcoded.cheb_vandermonde.survivor_chunks`:
     one stacked :func:`chebcoded.linalg.solve` gives the weights of the
-    whole chunk, and its estimates take one matrix-vector product per
-    subset against the shared eval table.
+    whole chunk.  The eval table is then read one cache-sized entry block
+    (``REPLAY_BLOCK_FLOATS``) at a time: each subset takes its own product
+    against the block, the truth is subtracted in place, and the squares
+    are added to the subset's running sum.
     Singular lanes (NaN weights) and overflowing ones report the infinity
-    sentinel.  Every lane is computed on its own, so results do not depend
-    on the chunk size.
+    sentinel.  A lane's products have the same shapes whatever its chunk
+    holds (one GEMM over the chunk would round by the chunk's width), so
+    its value depends on neither the chunk size nor the other subsets.
     """
     workers = generator.shape[1]
     k, q = recovery.shape
@@ -220,10 +225,14 @@ def _replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, sel)
     )
     scattered = np.zeros((count, generator.shape[1], recovery.shape[1]))
     scattered[np.arange(count)[:, None], sel, :] = weights
+    rows = max(1, REPLAY_BLOCK_FLOATS // generator.shape[1])
+    squares = np.zeros(count)
     with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
-        estimates = np.matmul(all_evals[None, :, :], scattered)
-        diffs = (estimates - truth_blocks[None, :, :]).reshape(count, -1)
-        errs = np.linalg.norm(diffs, axis=1) / truth_norm
+        for lo in range(0, all_evals.shape[0], rows):
+            diffs = np.matmul(all_evals[None, lo : lo + rows], scattered)
+            diffs -= truth_blocks[None, lo : lo + rows]
+            squares += np.square(diffs, out=diffs).reshape(count, -1).sum(axis=1)
+        errs = np.sqrt(squares) / truth_norm
     return np.where(np.isfinite(errs), errs, np.inf)
 
 

@@ -551,6 +551,20 @@ class TestOut:
         assert worst["metric"] == "relerr_worst" and worst["subset_mode"] == "fixed(1;3;4;6)"
         assert printed == f"relative_error={worst['value']}\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_kill_format_without_out_exits_2(self, capsys, small, fmt):
+        argv = ["mm", "--scheme", "matdot", "--m", "2", "--workers", "5", "--kill", "1,2",
+                "--n1", "4", "--n2", "4", "--n3", "4", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "usage error: mm --kill prints one relative_error= line; --format needs --out PATH\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "--out", str(small))
+        assert code == 0 and out == ""
+        text = small.read_text()
+        assert text.startswith("[") if fmt == "json" else text.startswith(CSV_HEADER)
+
     def test_singular_kill_writes_records_then_the_error_line(self, capsys, small):
         code, out, _ = run_cli(
             capsys, "mm", "--scheme", "matdot", "--m", "40", "--workers", "80", "--kill", "1",

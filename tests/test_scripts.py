@@ -82,3 +82,21 @@ def test_non_integer_ccc_seed_exits_2(capsys, monkeypatch, name):
     assert main(SMALL_RUNS[name]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "usage error: CCC_SEED must be an integer\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("condition_growth", ["--work", "8", "--redund", "2"]),
+        ("error_growth", ["--workers", "7", "--redundancy", "2", "--dim", "6", "--sa", "3"]),
+        ("lagrange_stability", ["--work", "6", "--sa", "3", "--redund", "2"]),
+    ],
+)
+def test_flag_prefix_exits_2(capsys, name, argv):
+    """A prefix of a flag is not a second spelling of it, as on the CLI."""
+    main = runpy.run_path(str(SCRIPTS / f"{name}.py"))["main"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: " in captured.err

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chebcoded import cheb_vandermonde, cli, lagrange_codes, linalg, matmul_codes, sim_harness
+from chebcoded import (
+    cheb_vandermonde, cli, lagrange_codes, linalg, matmul_codes, poly_basis, sim_harness,
+)
 from chebcoded.cheb_vandermonde import BudgetExceededError, survivor_chunks
 from chebcoded.linalg import Rng, gaussian_matrix, matmul
 from chebcoded.matmul_codes import decode, encode, scheme_config, worker_compute
@@ -230,6 +232,100 @@ class TestLagrangeTrial:
             weights.clear()
             lagrange_codes.lagrange_decode(cfg, f, subset, outs[np.asarray(subset) - 1])
             assert np.array_equal(weights[0], chunk[pos])
+
+
+class TestLaneIndependence:
+    """A replayed subset's value is a function of its own inputs: the eval
+    table is read in entry blocks, and every subset takes the same
+    fixed-shape products against each block whatever its chunk holds, so
+    neither the chunk size nor the other subsets replayed with it change
+    the value, bit for bit."""
+
+    @staticmethod
+    def _at_chunk_budgets(monkeypatch, trial, budgets):
+        """``trial()`` at the default chunk budget, then at each of ``budgets``."""
+        results = [trial()]
+        for floats in budgets:
+            monkeypatch.setattr(sim_harness, "REPLAY_CHUNK_FLOATS", floats)
+            results.append(trial())
+        return results
+
+    def test_chunk_size_is_invisible_across_entry_blocks(self, monkeypatch):
+        config = scheme_config("orthomatdot", 12, m=5)  # threshold 9, q = 1
+        rng = Rng(11)
+        a, b = gaussian_matrix(rng, 40, 40), gaussian_matrix(rng, 40, 40)  # 1600 entries
+        monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", 12 * 96)  # 17 blocks, last partial
+        fault = FaultModel(mode="exhaustive")
+        # one chunk of all 220 subsets, one subset per chunk, six per chunk
+        first, *others = self._at_chunk_budgets(
+            monkeypatch, lambda: run_trial(config, a, b, fault), (1, 20_000)
+        )
+        assert math.isfinite(first.worst)
+        assert all(other == first for other in others)
+
+    def test_chunk_size_is_invisible_when_q_exceeds_one(self, monkeypatch):
+        config = scheme_config("orthopoly", 12, m=3, n=3)  # threshold 9, q = 9
+        rng = Rng(12)
+        a, b = gaussian_matrix(rng, 24, 24), gaussian_matrix(rng, 24, 24)  # 64 entries a block
+        monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", 12 * 10)  # 7 entry blocks
+        fault = FaultModel(mode="random", samples=150, seed=2)
+        first, *others = self._at_chunk_budgets(
+            monkeypatch, lambda: run_trial(config, a, b, fault), (1, 5_000)
+        )
+        assert math.isfinite(first.worst)
+        assert all(other == first for other in others)
+
+    def test_chunk_size_is_invisible_in_lagrange_trials(self, monkeypatch):
+        # the plan rows' shape: one output component, so one entry block, q = m
+        config = lagrange_codes.LagrangeConfig(m=6, workers=10, dim=5, deg_f=1)
+        rng = Rng(13)
+        data = gaussian_matrix(rng, 6, 5)
+        f = lagrange_codes.linear_map(rng.normals(5))
+        fault = FaultModel(mode="exhaustive")
+        first, *others = self._at_chunk_budgets(
+            monkeypatch, lambda: run_lagrange_trial(config, f, data, fault), (1, 600)
+        )
+        assert math.isfinite(first.worst)
+        assert all(other == first for other in others)
+
+    def test_fixed_fault_equals_its_lane_in_the_exhaustive_replay(self):
+        config = scheme_config("orthomatdot", 12, m=5)
+        rng = Rng(14)
+        # 3600 entries: two blocks of the default REPLAY_BLOCK_FLOATS at P = 12
+        a, b = gaussian_matrix(rng, 60, 60), gaussian_matrix(rng, 60, 60)
+        every = run_trial(config, a, b, FaultModel(mode="exhaustive"))
+        alone = run_trial(config, a, b, FaultModel(mode="fixed", subset=every.worst_subset))
+        assert math.isfinite(every.worst) and every.worst > every.average
+        assert alone.worst == every.worst
+        assert alone.worst_subset == every.worst_subset
+
+    def test_singular_and_overflowing_lanes_read_inf_over_several_blocks(self, monkeypatch):
+        workers, k, entries = 16, 13, 40
+        rng = Rng(15)
+        points = poly_basis.cheb_grid(workers).points
+        generator = cheb_vandermonde.build_generator("chebyshev", k, points)
+        generator[:, 15] = generator[:, 14]  # subsets holding workers 15 and 16 are singular
+        recovery = gaussian_matrix(rng, k, 2)
+        all_evals = gaussian_matrix(rng, entries, workers)
+        all_evals[33, 1] = 1e300  # squares overflow for subsets holding worker 2
+        truth = gaussian_matrix(rng, entries, 2)
+        idx = sim_harness.survivor_subsets(FaultModel(mode="exhaustive"), workers, k)
+        monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 4)  # 10 entry blocks
+        errors = sim_harness._replay_errors(generator, recovery, all_evals, truth, idx)
+
+        (survivors,) = survivor_chunks(idx, workers, k, 1, len(idx))
+        singular = np.isin(survivors, 14).any(1) & np.isin(survivors, 15).any(1)
+        inf = singular | np.isin(survivors, 1).any(1)
+        assert singular.any() and not singular.all() and not inf.all()
+        assert np.all(errors[inf] == math.inf) and np.isfinite(errors[~inf]).all()
+        lane = np.flatnonzero(~inf)[0]
+        weights = linalg.solve(generator[:, survivors[lane]], recovery)
+        direct = relative_error(truth, all_evals[:, survivors[lane]] @ weights)
+        assert errors[lane] == pytest.approx(direct, rel=1e-12)
+        for i, row in enumerate(idx):  # each lane replayed alone gives the same bits
+            one = idx[i : i + 1]
+            alone = sim_harness._replay_errors(generator, recovery, all_evals, truth, one)
+            assert alone[0] == errors[i], row
 
 
 class TestRecordsSerialization:
