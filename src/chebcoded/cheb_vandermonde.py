@@ -72,13 +72,17 @@ def check_survivors(survivors, size: int, workers: int) -> tuple[int, ...]:
 
 def evaluation_points(workers: int, points=None) -> np.ndarray:
     """A code's read-only evaluation points: ``points`` as a flat float64
-    copy, one distinct point per worker, or cheb_grid(workers) if None."""
+    copy, one distinct point in [-1, 1] per worker, or cheb_grid(workers)
+    if None."""
     if points is None:
         pts = cheb_grid(workers).points.copy()
     else:
         pts = np.array(points, dtype=np.float64).ravel()
     if pts.size != workers:
         raise ValueError(f"need {workers} evaluation points, got {pts.size}")
+    outside = pts[~(np.abs(pts) <= 1.0)]  # NaN fails the comparison too
+    if outside.size:
+        raise ValueError(f"evaluation points must lie in [-1, 1], got {float(outside[0])!r}")
     if np.unique(pts).size != pts.size:
         raise ValueError("evaluation points must be pairwise distinct")
     pts.setflags(write=False)

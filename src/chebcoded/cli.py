@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: cond (condition-number sweeps), mm (encode/compute/decode a
-coded product with chosen erasures), table1 (the fixed worst/average
-error table), sweep (run a JSON plan file), lagrange (Lagrange-coding
-error trials), bound (condition-bound checks), selftest (re-run the
-package's end-to-end checks).
+coded product with chosen erasures), table1 (the worst/average error
+table, or an error-growth curve), sweep (run a JSON plan file), lagrange
+(Lagrange-coding error trials), bound (condition-bound checks), selftest
+(re-run the package's end-to-end checks).  cond, table1 and lagrange take
+lists of bases, schemes and P, so each of the paper's curves is one
+command.
 
 Each subcommand declares only the flags its handler reads, and each
 setting has one name: P is --workers, the redundancy is --redundancy.
@@ -12,13 +14,14 @@ setting has one name: P is --workers, the redundancy is --redundancy.
 most a final ``error=`` line.
 Exit codes: 0 success, 2 usage error (one-line diagnostic on stderr),
 1 runtime failure (machine-parsable ``error=`` line on stdout).
-The CCC_SEED environment variable overrides --seed (see :func:`run`).
+The CCC_SEED environment variable overrides --seed (see :func:`main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +33,7 @@ from .cheb_vandermonde import gaussian_bound_trial, subset_cond_stats, theorem_b
 from .linalg import Rng
 from .poly_basis import cheb_grid
 
-__all__ = ["main", "entrypoint", "run", "emit_and_check"]
+__all__ = ["main", "entrypoint"]
 
 
 class UsageError(ValueError):
@@ -56,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cond", help="worst/average condition number over decode submatrices")
     p.set_defaults(handler=_cmd_cond)
-    p.add_argument("--basis", choices=GENERATOR_KINDS, required=True)
-    p.add_argument("--workers", type=int, required=True, help="number of evaluation points (P)")
+    p.add_argument("--basis", choices=GENERATOR_KINDS, nargs="+", required=True)
+    p.add_argument("--workers", type=int, nargs="+", required=True,
+                   help="numbers of evaluation points (P); one row per basis and P")
     p.add_argument("--redundancy", type=int, required=True, help="P - generator rows")
     p.add_argument("--norm", choices=("l2", "frobenius"), default="l2")
     p.add_argument("--samples", type=int, help="sampled subsets (default: every subset)")
@@ -80,8 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flags(p, "--out", "--format", "--seed")
     p.set_defaults(format=None)  # csv, but --kill tells an explicit --format apart
 
-    p = sub.add_parser("table1", help="worst/average error table at redundancy 3")
+    p = sub.add_parser("table1", help="worst/average error table (default: the paper's)")
     p.set_defaults(handler=_cmd_table1)
+    p.add_argument("--scheme", choices=matmul_codes.FAMILIES, nargs="+",
+                   default=["matdot", "orthomatdot"])
+    p.add_argument("--workers", type=int, nargs="+", default=[30, 50, 80, 150])
+    p.add_argument("--redundancy", type=int, default=3)
+    p.add_argument("--samples", type=int,
+                   help="sampled subsets per P (default: every subset up to 20000, else 2000)")
     p.add_argument("--dims", type=int, default=120, help="requested N1=N2=N3 before split fitting")
     _shared_flags(p, "--out", "--format", "--seed")
 
@@ -92,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lagrange", help="Lagrange coded computing error trial")
     p.set_defaults(handler=_cmd_lagrange)
-    p.add_argument("--workers", type=int, required=True)
+    p.add_argument("--workers", type=int, nargs="+", required=True)
     p.add_argument("--redundancy", type=int, help="P - threshold (default: 2 + (P - 3) %% degf)")
     p.add_argument("--dim", type=int, default=10)
     p.add_argument("--degf", type=int, default=1)
-    p.add_argument("--basis", choices=lagrange_codes.DECODE_BASES, default="chebyshev")
+    p.add_argument("--basis", choices=lagrange_codes.DECODE_BASES, nargs="+",
+                   default=["chebyshev"], help="one row per basis and P, basis-major")
     subsets = p.add_mutually_exclusive_group()
     subsets.add_argument("--exhaustive", action="store_true", help="decode from every survivor subset")
     subsets.add_argument("--samples", type=int, default=50, help="sampled survivor subsets")
@@ -124,20 +135,21 @@ def _emit_lines(args, pairs) -> None:
         text = json.dumps(finite, indent=2, allow_nan=False) + "\n"
     else:
         text = "".join(f"{k}={v!r}\n" if isinstance(v, float) else f"{k}={v}\n" for k, v in pairs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sim_harness.write_text(text, args.out)
+
+
+def _check_redundancy(redundancy: int, workers) -> None:
+    for p in workers:
+        if not 0 <= redundancy < p:
+            raise UsageError(f"redundancy={redundancy} out of range [0, {p - 1}] at P={p}")
 
 
 def _cmd_cond(args) -> int:
-    if not 0 <= args.redundancy < args.workers:
-        raise UsageError(f"redundancy={args.redundancy} out of range [0, {args.workers - 1}]")
+    _check_redundancy(args.redundancy, args.workers)
     plan = sim_harness.condition_growth_plan(
-        (args.basis,), (args.workers,), args.redundancy, args.norm, args.samples, args.seed
+        args.basis, args.workers, args.redundancy, args.norm, args.samples, args.seed
     )
-    return emit_and_check(args, sim_harness.sweep(plan))
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_mm(args) -> int:
@@ -174,7 +186,7 @@ def _cmd_mm(args) -> int:
     )
     records = sim_harness.sweep(plan)
     if args.exhaustive:
-        return emit_and_check(args, records)
+        return _emit_and_check(args, records)
     if args.out:
         sim_harness.write_records(records, args.out, args.format)
     worst = records[0]
@@ -187,8 +199,11 @@ def _cmd_mm(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    plan = sim_harness.table1_plan(args.seed, dims=(args.dims, args.dims, args.dims))
-    return emit_and_check(args, sim_harness.sweep(plan))
+    _check_redundancy(args.redundancy, args.workers)
+    plan = sim_harness.table1_plan(
+        args.seed, (args.dims,) * 3, args.scheme, args.workers, args.redundancy, args.samples
+    )
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_sweep(args) -> int:
@@ -201,19 +216,23 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(plan, list):
         raise UsageError("plan file must hold a JSON array of row objects")
-    return emit_and_check(args, sim_harness.sweep(plan))
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_lagrange(args) -> int:
     if args.degf < 1:
         raise UsageError(f"--degf must be at least 1, got {args.degf}")
-    # by default the most data points that leave at least two redundant workers
-    delta = args.redundancy if args.redundancy is not None else 2 + (args.workers - 3) % args.degf
-    plan = sim_harness.plan_rows(
-        [(f"lagrange_{args.basis}", args.workers)], delta,
-        None if args.exhaustive else args.samples, args.seed, dim=args.dim, deg_f=args.degf,
-    )
-    return emit_and_check(args, sim_harness.sweep(plan))
+    if args.redundancy is not None:
+        _check_redundancy(args.redundancy, args.workers)
+    plan = []
+    for basis, p in itertools.product(args.basis, args.workers):
+        # by default the most data points that leave at least two redundant workers
+        delta = args.redundancy if args.redundancy is not None else 2 + (p - 3) % args.degf
+        plan += sim_harness.plan_rows(
+            [(f"lagrange_{basis}", p)], delta,
+            None if args.exhaustive else args.samples, args.seed, dim=args.dim, deg_f=args.degf,
+        )
+    return _emit_and_check(args, sim_harness.sweep(plan))
 
 
 def _cmd_bound(args) -> int:
@@ -240,10 +259,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def emit_and_check(args, records) -> int:
+def _emit_and_check(args, records) -> int:
     """Write records to ``args.out`` in ``args.format``, then fail loudly
     if any plan row errored; the error line comes last so the CSV stays
-    parseable.  The experiment scripts in ``scripts/`` exit by it too."""
+    parseable."""
     sim_harness.write_records(records, args.out, args.format)
     bad = [r for r in records if r.error]
     if bad:
@@ -252,9 +271,11 @@ def emit_and_check(args, records) -> int:
     return 0
 
 
-def run(args, command) -> int:
-    """``command(args)`` under this module's exit codes, after CCC_SEED (which
-    must be an integer) has replaced ``args.seed`` where the command has one."""
+def main(argv=None) -> int:
+    """Run the subcommand ``argv`` names under this module's exit codes,
+    after CCC_SEED (which must be an integer) has replaced ``--seed`` where
+    the subcommand has one."""
+    args = build_parser().parse_args(argv)
     try:
         if "CCC_SEED" in os.environ:
             try:
@@ -263,18 +284,13 @@ def run(args, command) -> int:
                 raise UsageError("CCC_SEED must be an integer") from None
             if hasattr(args, "seed"):
                 args.seed = seed
-        return command(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error={exc}")
         return 1
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args, args.handler)
 
 
 def entrypoint() -> None:

@@ -35,7 +35,8 @@ DECODE_BASES = ("chebyshev", "monomial")
 class LagrangeConfig:
     """m data points, P workers, input dimension, and the (caller-known)
     total degree of the worker map, which fixes the recovery threshold
-    K = (m-1)*deg_f + 1."""
+    K = (m-1)*deg_f + 1.  ``points`` must be distinct reals in [-1, 1],
+    one per worker; omitted means cheb_grid(workers)."""
 
     m: int
     workers: int

@@ -66,6 +66,7 @@ __all__ = [
     "fit_dims",
     "records_to_csv",
     "records_to_json",
+    "write_text",
     "write_records",
 ]
 
@@ -305,21 +306,20 @@ def records_to_json(records) -> str:
     return json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
-def write_records(records, out=None, fmt: str = "csv") -> str:
-    """Render records and write them to a path, file object, or stdout."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+def write_text(text: str, out: str | None = None) -> None:
+    """Write ``text`` to the file at path ``out``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
-    elif isinstance(out, (str, bytes)):
+    else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    elif hasattr(out, "write"):
-        out.write(text)
-    else:
-        raise ValueError(f"cannot write records to {out!r}")
-    return text
+
+
+def write_records(records, out: str | None = None, fmt: str = "csv") -> None:
+    """Render records as ``fmt`` (csv or json) and write them with :func:`write_text`."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    write_text(records_to_csv(records) if fmt == "csv" else records_to_json(records), out)
 
 
 def fit_dims(dims, row_split: int = 1, inner_split: int = 1, col_split: int = 1):
@@ -548,14 +548,24 @@ def plan_rows(pairs, delta: int, subsets, seed: int, seed_count: int = _SEEDS_PE
     ]
 
 
-def table1_plan(seed: int, dims=(120, 120, 120)) -> list[dict]:
-    """Worst/average relative error for the inner-split pair at fixed
-    redundancy 3 and P in {30, 50, 80, 150}; exhaustive subsets while
-    affordable, 2000 sampled subsets beyond."""
+def table1_plan(
+    seed: int,
+    dims=(120, 120, 120),
+    schemes=("matdot", "orthomatdot"),
+    workers=(30, 50, 80, 150),
+    delta: int = 3,
+    samples: int | None = None,
+) -> list[dict]:
+    """Worst/average relative error of ``schemes`` at fixed redundancy, one
+    P of ``workers`` after another: ``samples`` sampled subsets per P if
+    given, else every subset while there are at most 20000 and 2000
+    sampled beyond.  The defaults are the paper's table."""
     plan = []
-    for workers in (30, 50, 80, 150):
-        samples = None if math.comb(workers, 3) <= _TABLE1_EXHAUSTIVE_CAP else _TABLE1_SAMPLES
-        plan += error_growth_plan(("matdot", "orthomatdot"), (workers,), 3, dims, samples, seed)
+    for p in workers:
+        count = samples
+        if samples is None and math.comb(p, delta) > _TABLE1_EXHAUSTIVE_CAP:
+            count = _TABLE1_SAMPLES
+        plan += error_growth_plan(schemes, (p,), delta, dims, count, seed)
     return plan
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,130 @@ class TestSeedOverride:
         assert code == 2 and "CCC_SEED" in err
 
 
+class TestCurves:
+    """cond, table1 and lagrange take lists, so each curve of the paper is
+    one command; they share the CLI's seed and exit rules."""
+
+    SMALL = {
+        "cond": ["cond", "--basis", "monomial", "chebyshev", "--workers", "8", "10",
+                 "--redundancy", "2"],
+        "table1": ["table1", "--scheme", "matdot", "orthomatdot", "--workers", "7", "9",
+                   "--redundancy", "2", "--dims", "6", "--samples", "3"],
+        "lagrange": ["lagrange", "--basis", "chebyshev", "monomial", "--workers", "8", "10",
+                     "--samples", "3"],
+    }
+
+    # (scheme, P) of each row in output order: basis-major for cond and
+    # lagrange, P-major for table1
+    ROWS = {
+        "cond": [("monomial", "8"), ("monomial", "10"), ("chebyshev", "8"), ("chebyshev", "10")],
+        "table1": [("matdot", "7"), ("orthomatdot", "7"), ("matdot", "9"), ("orthomatdot", "9")],
+        "lagrange": [("lagrange_chebyshev", "8"), ("lagrange_chebyshev", "10"),
+                     ("lagrange_monomial", "8"), ("lagrange_monomial", "10")],
+    }
+
+    @pytest.mark.parametrize("name", list(SMALL))
+    def test_small_run_writes_records_and_exits_0(self, capsys, name):
+        code, out, _ = run_cli(capsys, *self.SMALL[name])
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == CSV_HEADER
+        rows = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert rows == [row for row in self.ROWS[name] for _metric in range(2)]
+        assert all(line.endswith(",") for line in lines[1:])  # empty error column
+
+    def test_cond_stdout_equals_sweep_of_the_plan(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "cond", "--basis", "monomial", "chebyshev", "--workers", "8", "10",
+            "--redundancy", "2",
+        )
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(
+            sim_harness.condition_growth_plan(("monomial", "chebyshev"), (8, 10), 2)
+        ))
+        sweep_code, sweep_out, _ = run_cli(capsys, "sweep", "--plan", str(plan_path))
+        assert code == sweep_code == 0
+        assert out == sweep_out
+
+    def test_table1_builds_the_table1_plan(self, capsys, monkeypatch):
+        plans = []
+        monkeypatch.setattr(sim_harness, "sweep", lambda plan: plans.append(plan) or [])
+        assert main(["table1", "--dims", "6", "--seed", "2"]) == 0
+        assert main(["table1", "--scheme", "polynomial", "orthopoly", "--workers", "20", "40",
+                     "--samples", "2000"]) == 0
+        default, sampled = plans
+        assert default == sim_harness.table1_plan(2, (6, 6, 6))
+        # the same rows as the error-growth curve, P-major instead of scheme-major
+        curve = sim_harness.error_growth_plan(("polynomial", "orthopoly"), (20, 40))
+        assert sorted(map(json.dumps, sampled)) == sorted(map(json.dumps, curve))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cond", "--basis", "chebyshev", "--workers", "8", "3", "--redundancy", "3"],
+            ["table1", "--workers", "8", "3", "--redundancy", "3"],
+            ["lagrange", "--workers", "8", "3", "--redundancy", "3"],
+        ],
+        ids=["cond", "table1", "lagrange"],
+    )
+    def test_redundancy_out_of_range_names_the_p(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "usage error: redundancy=3 out of range [0, 2] at P=3\n"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["cond", "--basis", "monomial", "chebyshev", "--workers", "400", "--redundancy", "3"],
+             "10586800 survivor subsets exceed the exhaustive budget 1000000"),
+            (["cond", "--basis", "monomial", "chebyshev", "--workers", "8", "--redundancy", "2",
+              "--samples", "0"], "random fault mode needs samples >= 1"),
+            (["table1", "--workers", "7", "--redundancy", "2", "--samples", "0"],
+             "random fault mode needs samples >= 1"),
+            (["lagrange", "--basis", "chebyshev", "monomial", "--workers", "8", "--redundancy", "2",
+              "--degf", "2"], "P-delta=6 is not a valid threshold for deg_f=2"),
+        ],
+        ids=["cond-budget", "cond-samples-0", "table1-samples-0", "lagrange-threshold"],
+    )
+    def test_error_rows_end_with_an_error_line_and_exit_1(self, capsys, argv, error):
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 1 and lines[0] == CSV_HEADER and len(lines) > 2
+        assert all(line.endswith(",error," + error) for line in lines[1:-1])
+        assert lines[-1] == "error=" + error
+
+    @pytest.mark.parametrize("name", list(SMALL))
+    def test_ccc_seed_overrides_seed(self, capsys, monkeypatch, name):
+        code, seeded, _ = run_cli(capsys, *self.SMALL[name], "--seed", "4")
+        monkeypatch.setenv("CCC_SEED", "4")
+        env_code, from_env, _ = run_cli(capsys, *self.SMALL[name], "--seed", "0")
+        assert code == env_code == 0 and from_env == seeded
+        assert {line.split(",")[6] for line in seeded.splitlines()[1:]} == {"4"}
+
+    @pytest.mark.parametrize("name", list(SMALL))
+    def test_non_integer_ccc_seed_exits_2(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("CCC_SEED", "four")
+        code, out, err = run_cli(capsys, *self.SMALL[name])
+        assert code == 2 and out == ""
+        assert err == "usage error: CCC_SEED must be an integer\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2", "--nor", "l2"],
+            ["table1", "--work", "7", "--redund", "2", "--dim", "6", "--sa", "3"],
+            ["lagrange", "--workers", "6", "--sa", "3", "--redund", "2"],
+        ],
+        ids=["cond", "table1", "lagrange"],
+    )
+    def test_flag_prefix_exits_2(self, capsys, argv):
+        """A prefix of a flag is not a second spelling of it."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: " in captured.err
+
+
 class TestFlags:
     """Each subcommand declares only the flags its handler reads, and each
     setting has one spelling: a removed one exits 2."""
@@ -402,18 +527,21 @@ class TestFlags:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps([{"scheme": "chebyshev", "P": 6, "delta": 1,
                                      "metrics": ["cond_worst"]}]))
-        # table1 and selftest are read, not run: their work does not read flags
-        monkeypatch.setattr(sim_harness, "table1_plan", lambda seed, dims: [])
+        # selftest is read, not run: its checks do not read flags
         monkeypatch.setattr(selfcheck, "run_all", lambda verbose: [])
         paths = [
             ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2", "--samples", "5"],
+            ["cond", "--basis", "monomial", "chebyshev", "--workers", "6", "8", "--redundancy", "2",
+             "--norm", "frobenius"],
             ["mm", "--scheme", "orthopoly", "--m", "2", "--n", "2", "--workers", "6",
              "--kill", "1,4", "--n1", "4", "--n2", "4", "--n3", "4", "--out", out],
             ["mm", "--scheme", "gen_orthomatdot", "--m1", "2", "--m2", "1", "--m3", "1",
              "--workers", "5", "--exhaustive", "--n1", "4", "--n2", "4", "--n3", "4"],
-            ["table1"],
+            ["table1", "--scheme", "matdot", "orthomatdot", "--workers", "7", "9",
+             "--redundancy", "2", "--samples", "2", "--dims", "4"],
             ["sweep", "--plan", str(plan)],
             ["lagrange", "--workers", "8", "--redundancy", "4", "--samples", "3"],
+            ["lagrange", "--basis", "chebyshev", "monomial", "--workers", "6", "8", "--samples", "3"],
             ["lagrange", "--workers", "6", "--exhaustive"],
             ["bound", "--workers", "6", "--redundancy", "1", "--out", out],
             ["bound", "--gauss", "--workers", "4", "--redundancy", "1", "--trials", "5"],
@@ -443,7 +571,7 @@ class TestFlags:
         assert [name for name, flags in declared.items() if "--n" in flags] == ["mm"]
         assert [name for name, flags in declared.items() if "--quiet" in flags] == ["selftest"]
         assert not any({"--points", "--s", "--rows", "--mode"} & flags for flags in declared.values())
-        assert sum(map(len, declared.values())) == 48
+        assert sum(map(len, declared.values())) == 52
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -497,6 +625,21 @@ class TestFlags:
                 flags = set(re.findall(r"--[a-z][a-z0-9-]*", rest))
                 assert flags <= declared[name], (doc, name, " ".join(rest.split()))
 
+    def test_documented_commands_parse(self):
+        # every `chebcoded ...` line of a fenced block parses (nothing runs)
+        root = Path(__file__).parents[1]
+        text = "".join((root / doc).read_text() for doc in ("README.md", "docs/plots.md"))
+        blocks = re.findall(r"^```.*?^```", text, flags=re.M | re.S)
+        commands = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("chebcoded ")]
+        assert len(commands) > 5
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(command)
+
 
 class TestOut:
     """--out PATH replaces stdout: PATH holds the output, and stdout at most
@@ -506,7 +649,7 @@ class TestOut:
         "cond": ["cond", "--basis", "chebyshev", "--workers", "8", "--redundancy", "2"],
         "mm": ["mm", "--scheme", "orthomatdot", "--m", "2", "--workers", "6", "--exhaustive",
                "--n1", "8", "--n2", "8", "--n3", "8"],
-        "table1": ["table1", "--dims", "6", "--seed", "2"],
+        "table1": ["table1", "--dims", "6", "--seed", "2", "--scheme", "matdot", "--workers", "6"],
         "sweep": ["sweep", "--plan", "plan.json", "--format", "json"],
         "lagrange": ["lagrange", "--workers", "8", "--samples", "3"],
         "bound": ["bound", "--workers", "6", "--redundancy", "1"],
@@ -515,12 +658,8 @@ class TestOut:
 
     @pytest.fixture
     def small(self, monkeypatch, tmp_path):
-        """Run in tmp_path, with sweep's plan.json there and table1 on one small row."""
+        """Run in tmp_path, with sweep's plan.json there."""
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(
-            sim_harness, "table1_plan",
-            lambda seed, dims: sim_harness.error_growth_plan(("matdot",), (6,), 3, dims, None, seed),
-        )
         plan = sim_harness.condition_growth_plan(("monomial",), (7,), 2)
         (tmp_path / "plan.json").write_text(json.dumps(plan))
         return tmp_path / "out"

@@ -44,6 +44,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=text):
             LagrangeConfig(**{"m": 2, "workers": 5, "dim": 3, "deg_f": 1, **fields})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_points_outside_the_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            LagrangeConfig(m=2, workers=3, dim=1, deg_f=1, points=[0.0, bad, -0.5])
+
+    def test_interval_endpoints_accepted(self):
+        cfg = LagrangeConfig(m=2, workers=3, dim=1, deg_f=1, points=[1.0, 0.0, -1.0])
+        assert cfg.anchors.tolist() == [1.0, 0.0]
+
     def test_anchors_are_leading_grid_points(self):
         cfg = LagrangeConfig(m=3, workers=8, dim=1, deg_f=1)
         assert np.array_equal(cfg.anchors, cheb_grid(8).points[:3])

@@ -446,6 +446,14 @@ class TestOutputCoefficientIndices:
                 assert got == pytest.approx(want, abs=1e-9)
 
 
+class TestEvaluationPointRange:
+    # the endpoints +-1 stay valid: test_matdot_scalar_product decodes on them
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.5, 3.0])
+    def test_points_outside_the_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"in \[-1, 1\], got {bad}"):
+            scheme_config("matdot", 3, m=2, points=[0.0, bad, 1.0])
+
+
 class TestThresholdIsPrecondition:
     @pytest.mark.parametrize("family,splits,workers", [
         ("matdot", dict(m=2), 6),
