@@ -274,9 +274,15 @@ def _emit_and_check(args, records) -> int:
 def main(argv=None) -> int:
     """Run the subcommand ``argv`` names under this module's exit codes,
     after CCC_SEED (which must be an integer) has replaced ``--seed`` where
-    the subcommand has one."""
+    the subcommand has one.  The directory of ``--out`` is checked before
+    any work is done."""
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None:
+            directory = os.path.dirname(os.path.abspath(out))
+            if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
+                raise UsageError(f"--out {out}: {directory} is not a writable directory")
         if "CCC_SEED" in os.environ:
             try:
                 seed = int(os.environ["CCC_SEED"])
@@ -288,7 +294,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out write that still fails
         print(f"error={exc}")
         return 1
 

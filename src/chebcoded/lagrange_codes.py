@@ -140,10 +140,10 @@ def lagrange_decode(
 
     Each output component is a degree-(K-1) polynomial of the grid
     coordinate, interpolated through the K survivor columns G_R of the
-    chosen generator and evaluated at the anchor columns.  Both steps fold
-    into one solve, W = G_R^{-1} @ anchors (K x m), the same fusion
-    weights the harness replay computes; the estimates are W^T @ outputs.
-    Returns an (m, out_dim) array of estimates.
+    chosen generator and evaluated at the anchor columns.  The fusion is
+    folded onto the output side: one transposed solve, G_R^T v = outputs
+    (K x out_dim), the same v the harness replay computes; the estimates
+    are anchors^T @ v.  Returns an (m, out_dim) array of estimates.
     """
     surv = check_survivors(survivors, config.threshold, config.workers)
     outs = as_matrix(outputs)
@@ -155,4 +155,5 @@ def lagrange_decode(
     outs = outs[order]
 
     gen = decode_generator(config, basis)
-    return solve(gen[:, np.asarray(surv, dtype=np.int64) - 1], gen[:, : config.m]).T @ outs
+    folded = solve(gen[:, np.asarray(surv, dtype=np.int64) - 1], outs, transposed=True)
+    return gen[:, : config.m].T @ folded

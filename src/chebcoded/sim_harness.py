@@ -5,12 +5,15 @@ replays erasure patterns: each survivor subset costs one solve against
 the survivor submatrix of the decode generator.  The subsets come from
 the pipeline the condition sweep uses (:mod:`chebcoded.cheb_vandermonde`):
 one index array, gathered a chunk at a time and reduced to one
-worst/average result.  The fusion weights W_R = G_R^{-1} @ recovery come
-from the same :func:`chebcoded.linalg.solve` call the library decoders
-make, so they are bitwise those of :func:`chebcoded.matmul_codes.decode`
-and :func:`chebcoded.lagrange_codes.lagrange_decode`; only the estimate
-products differ in shape (one per subset and entry block of the eval
-table instead of one per decode).
+worst/average result.  The matmul fusion weights W_R = G_R^{-1} @ recovery
+come from the same :func:`chebcoded.linalg.solve` call that
+:func:`chebcoded.matmul_codes.decode` makes, so they are bitwise the
+decoder's; only the estimate products differ in shape (one per subset
+and entry block of the eval table instead of one per decode).  The
+Lagrange replay folds the fusion onto the outputs instead: v_R solves
+G_R^T v_R = outputs_R in the transposed solve that
+:func:`chebcoded.lagrange_codes.lagrange_decode` makes, bitwise the
+decoder's, and the estimate is anchors^T @ v_R.
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
 one path.  :func:`parse_row` parses each row once against the schema
@@ -255,17 +258,29 @@ def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
 
 def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> SubsetStats:
     """Lagrange-coding trial; truth is f applied to the raw data points.
-    The survivor subsets are listed first, as in :func:`run_trial`."""
+    The survivor subsets are listed first, as in :func:`run_trial`.  Each
+    chunk of :func:`chebcoded.cheb_vandermonde.survivor_chunks` takes one
+    stacked transposed solve G_R^T v_R = outputs_R (a right-hand side per
+    output component, not per anchor) and the estimates anchors^T @ v_R;
+    singular (NaN) and overflowing lanes report the infinity sentinel."""
     idx = survivor_subsets(fault, config.workers, config.threshold)
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
     truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
     gen = lagrange_codes.decode_generator(config, basis)
-    anchor_block = gen[:, : config.m]
-    # estimate (m, v) = anchors^T @ G_R^{-1}^T ... folded as in _replay_errors,
-    # with output components playing the role of entries
-    errors = _replay_errors(gen, anchor_block, outs.T, truth.T, idx)
-    return subset_stats(errors, idx, config.workers, config.threshold)
+    anchors_t = gen[:, : config.m].T
+    k, v = config.threshold, outs.shape[1]
+    truth_norm = float(np.linalg.norm(truth))
+    floats_per_subset = 2 * k * k + 2 * k * v + config.m * v
+    errors = []
+    for sel in survivor_chunks(idx, config.workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS):
+        # [s, i, j] = gen[i, sel[s, j]], i.e. the survivor submatrix G_R
+        folded = solve(gen.T[sel].transpose(0, 2, 1), outs[sel], transposed=True)
+        with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
+            diffs = np.matmul(anchors_t, folded) - truth
+            errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
+        errors.append(np.where(np.isfinite(errs), errs, np.inf))
+    return subset_stats(np.concatenate(errors), idx, config.workers, k)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chebcoded import selfcheck, sim_harness
+from chebcoded import cli, selfcheck, sim_harness
 from chebcoded.cli import build_parser, main
 from chebcoded.sim_harness import CSV_HEADER
 
@@ -722,3 +722,25 @@ class TestOut:
         )
         assert code == 1 and out == "error=random fault mode needs samples >= 1\n"
         assert small.read_text().splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_missing_out_directory_is_a_usage_error_before_any_work(
+        self, capsys, monkeypatch, small, name
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for target in ("sweep", "subset_cond_stats", "gaussian_bound_trial"):
+            module = sim_harness if target == "sweep" else cli
+            monkeypatch.setattr(module, target, no_work)
+        path = str(small.parent / "missing" / "x.csv")
+        code, out, err = run_cli(capsys, *self.RUNS[name], "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --out ") and path in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["cond", "bound"])
+    def test_a_write_that_fails_prints_an_error_line(self, capsys, small, name):
+        small.mkdir()  # the directory exists and is writable, the file cannot be opened
+        code, out, err = run_cli(capsys, *self.RUNS[name], "--out", str(small))
+        assert code == 1 and err == ""
+        assert out.startswith("error=") and str(small) in out and out.count("\n") == 1

@@ -213,25 +213,50 @@ class TestLagrangeTrial:
         assert trial.worst >= trial.average
 
     def test_decode_weights_equal_replay_weights_bitwise(self, monkeypatch):
+        # both fold the fusion onto the output side: v solves G_R^T v = outputs_R
         cfg = lagrange_codes.LagrangeConfig(m=4, workers=7, dim=3, deg_f=1)
         rng = Rng(6)
         data = gaussian_matrix(rng, 4, 3)
         f = lagrange_codes.linear_map(rng.normals(3))
-        weights = []
+        folded = []
 
-        def recording_solve(a, rhs):
-            weights.append(linalg.solve(a, rhs))
-            return weights[-1]
+        def recording_solve(a, rhs, transposed=False):
+            assert transposed
+            folded.append(linalg.solve(a, rhs, transposed=True))
+            return folded[-1]
 
         monkeypatch.setattr(sim_harness, "solve", recording_solve)
         monkeypatch.setattr(lagrange_codes, "solve", recording_solve)
         run_lagrange_trial(cfg, f, data, FaultModel(mode="exhaustive"))
-        (chunk,) = weights
+        (chunk,) = folded
+        subsets = _survivors(FaultModel(mode="exhaustive"), 7, 4)
+        assert chunk.shape == (len(subsets), 4, 1)
         outs = lagrange_codes.worker_outputs(cfg, f, lagrange_codes.lagrange_encode(cfg, data))
-        for pos, subset in enumerate(_survivors(FaultModel(mode="exhaustive"), 7, 4)):
-            weights.clear()
+        for pos, subset in enumerate(subsets):
+            folded.clear()
             lagrange_codes.lagrange_decode(cfg, f, subset, outs[np.asarray(subset) - 1])
-            assert np.array_equal(weights[0], chunk[pos])
+            assert np.array_equal(folded[0], chunk[pos])
+
+    def test_infinite_lanes_are_the_singular_lanes_of_the_plain_solve(self, monkeypatch):
+        stacks, errors = [], []
+
+        def recording_solve(a, rhs, transposed=False):
+            stacks.append((np.array(a), np.array(rhs)))
+            return linalg.solve(a, rhs, transposed)
+
+        def recording_stats(values, *args):
+            errors.append(values)
+            return cheb_vandermonde.subset_stats(values, *args)
+
+        monkeypatch.setattr(sim_harness, "solve", recording_solve)
+        monkeypatch.setattr(sim_harness, "subset_stats", recording_stats)
+        sweep(lagrange_stability_plan(workers=(20, 40, 60), samples=20))
+        assert len(stacks) == len(errors) == 2 * 3 * 5  # bases x P x seeds, one chunk each
+        for (a, rhs), values in zip(stacks, errors):
+            singular = np.isnan(linalg.solve(a, rhs)).all(axis=(1, 2))
+            assert np.array_equal(np.isinf(values), singular)
+        infinite = np.concatenate(errors) == math.inf
+        assert infinite.any() and not infinite.all()
 
 
 class TestLaneIndependence:
