@@ -274,13 +274,15 @@ def _emit_and_check(args, records) -> int:
 def main(argv=None) -> int:
     """Run the subcommand ``argv`` names under this module's exit codes,
     after CCC_SEED (which must be an integer) has replaced ``--seed`` where
-    the subcommand has one.  The directory of ``--out`` is checked before
-    any work is done."""
+    the subcommand has one.  ``--out`` is checked before any work is done:
+    it must name a file, not a directory, in a writable directory."""
     args = build_parser().parse_args(argv)
     try:
         out = getattr(args, "out", None)
         if out is not None:
             directory = os.path.dirname(os.path.abspath(out))
+            if os.path.isdir(out):
+                raise UsageError(f"--out {out} is a directory")
             if not os.path.isdir(directory) or not os.access(directory, os.W_OK | os.X_OK):
                 raise UsageError(f"--out {out}: {directory} is not a writable directory")
         if "CCC_SEED" in os.environ:

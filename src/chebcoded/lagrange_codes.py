@@ -25,6 +25,7 @@ __all__ = [
     "lagrange_encode",
     "worker_outputs",
     "lagrange_decode",
+    "anchor_estimates",
     "decode_generator",
 ]
 
@@ -143,7 +144,8 @@ def lagrange_decode(
     chosen generator and evaluated at the anchor columns.  The fusion is
     folded onto the output side: one transposed solve, G_R^T v = outputs
     (K x out_dim), the same v the harness replay computes; the estimates
-    are anchors^T @ v.  Returns an (m, out_dim) array of estimates.
+    come from :func:`anchor_estimates`.  Returns an (m, out_dim) array of
+    estimates.
     """
     surv = check_survivors(survivors, config.threshold, config.workers)
     outs = as_matrix(outputs)
@@ -155,5 +157,23 @@ def lagrange_decode(
     outs = outs[order]
 
     gen = decode_generator(config, basis)
-    folded = solve(gen[:, np.asarray(surv, dtype=np.int64) - 1], outs, transposed=True)
-    return gen[:, : config.m].T @ folded
+    sel = np.asarray(surv, dtype=np.int64) - 1
+    folded = solve(gen[:, sel], outs, transposed=True)
+    return anchor_estimates(gen[:, : config.m], folded, sel, outs)
+
+
+def anchor_estimates(anchors, folded, sel, outputs) -> np.ndarray:
+    """Estimates of f at the m anchors from v = ``folded``, which solves
+    G_R^T v = ``outputs`` for the 0-based survivors ``sel``.
+
+    An erased anchor is interpolated, anchors^T @ v; a surviving anchor
+    (a survivor below m, a worker that received its raw data) is its own
+    output row, the systematic decode, which carries no residual of v.
+    ``folded``, ``sel`` and ``outputs`` may carry one leading lane axis:
+    (K, v), (K,), (K, v) for one decode, or (count, K, v), (count, K),
+    (count, K, v) for a replayed chunk, with the same bits per lane.
+    """
+    est = np.matmul(anchors.T, folded)  # (..., m, v)
+    kept = sel < anchors.shape[1]
+    est[np.nonzero(kept)[:-1] + (sel[kept],)] = outputs[kept]
+    return est

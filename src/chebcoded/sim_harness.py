@@ -13,7 +13,9 @@ and entry block of the eval table instead of one per decode).  The
 Lagrange replay folds the fusion onto the outputs instead: v_R solves
 G_R^T v_R = outputs_R in the transposed solve that
 :func:`chebcoded.lagrange_codes.lagrange_decode` makes, bitwise the
-decoder's, and the estimate is anchors^T @ v_R.
+decoder's; an erased anchor is estimated as its column of anchors^T @ v_R
+and a surviving one by its own output, in the decoder's
+:func:`chebcoded.lagrange_codes.anchor_estimates`.
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
 one path.  :func:`parse_row` parses each row once against the schema
@@ -261,25 +263,29 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     The survivor subsets are listed first, as in :func:`run_trial`.  Each
     chunk of :func:`chebcoded.cheb_vandermonde.survivor_chunks` takes one
     stacked transposed solve G_R^T v_R = outputs_R (a right-hand side per
-    output component, not per anchor) and the estimates anchors^T @ v_R;
-    singular (NaN) and overflowing lanes report the infinity sentinel."""
+    output component, not per anchor) and the estimates of
+    :func:`chebcoded.lagrange_codes.anchor_estimates`.  A lane whose v_R is
+    singular (NaN) or overflows reports the infinity sentinel, even when
+    no anchor was erased, as does a lane whose error overflows."""
     idx = survivor_subsets(fault, config.workers, config.threshold)
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
     truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
     gen = lagrange_codes.decode_generator(config, basis)
-    anchors_t = gen[:, : config.m].T
+    anchors = gen[:, : config.m]
     k, v = config.threshold, outs.shape[1]
     truth_norm = float(np.linalg.norm(truth))
-    floats_per_subset = 2 * k * k + 2 * k * v + config.m * v
+    floats_per_subset = 2 * k * k + 3 * k * v + config.m * v
     errors = []
     for sel in survivor_chunks(idx, config.workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS):
+        outs_r = outs[sel]
         # [s, i, j] = gen[i, sel[s, j]], i.e. the survivor submatrix G_R
-        folded = solve(gen.T[sel].transpose(0, 2, 1), outs[sel], transposed=True)
+        folded = solve(gen.T[sel].transpose(0, 2, 1), outs_r, transposed=True)
         with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
-            diffs = np.matmul(anchors_t, folded) - truth
+            diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs_r) - truth
             errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
-        errors.append(np.where(np.isfinite(errs), errs, np.inf))
+        finite = np.isfinite(errs) & np.isfinite(folded).all(axis=(1, 2))
+        errors.append(np.where(finite, errs, np.inf))
     return subset_stats(np.concatenate(errors), idx, config.workers, k)
 
 

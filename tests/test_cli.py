@@ -727,20 +727,39 @@ class TestOut:
     def test_missing_out_directory_is_a_usage_error_before_any_work(
         self, capsys, monkeypatch, small, name
     ):
+        self._forbid_work(monkeypatch)
+        path = str(small.parent / "missing" / "x.csv")
+        code, out, err = run_cli(capsys, *self.RUNS[name], "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: --out ") and path in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_out_naming_a_directory_is_a_usage_error_before_any_work(
+        self, capsys, monkeypatch, small, name
+    ):
+        self._forbid_work(monkeypatch)
+        small.mkdir()
+        code, out, err = run_cli(capsys, *self.RUNS[name], "--out", str(small))
+        assert code == 2 and out == ""
+        assert err == f"usage error: --out {small} is a directory\n"
+
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        """Stub every entry to the work so that reaching it fails the test."""
+
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
         for target in ("sweep", "subset_cond_stats", "gaussian_bound_trial"):
             module = sim_harness if target == "sweep" else cli
             monkeypatch.setattr(module, target, no_work)
-        path = str(small.parent / "missing" / "x.csv")
-        code, out, err = run_cli(capsys, *self.RUNS[name], "--out", path)
-        assert code == 2 and out == ""
-        assert err.startswith("usage error: --out ") and path in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["cond", "bound"])
-    def test_a_write_that_fails_prints_an_error_line(self, capsys, small, name):
-        small.mkdir()  # the directory exists and is writable, the file cannot be opened
+    def test_a_write_that_fails_prints_an_error_line(self, capsys, monkeypatch, small, name):
+        def failing_write(text, out=None):
+            raise OSError(f"[Errno 28] No space left on device: {out!r}")
+
+        monkeypatch.setattr(sim_harness, "write_text", failing_write)
         code, out, err = run_cli(capsys, *self.RUNS[name], "--out", str(small))
         assert code == 1 and err == ""
         assert out.startswith("error=") and str(small) in out and out.count("\n") == 1

@@ -6,13 +6,15 @@ import pytest
 from chebcoded.lagrange_codes import (
     LagrangeConfig,
     PolyMap,
+    anchor_estimates,
+    decode_generator,
     lagrange_decode,
     lagrange_encode,
     linear_map,
     worker_outputs,
 )
 from chebcoded.cheb_vandermonde import sample_column_subsets
-from chebcoded.linalg import Rng, gaussian_matrix
+from chebcoded.linalg import Rng, gaussian_matrix, solve
 from chebcoded.poly_basis import cheb_grid
 
 
@@ -97,6 +99,30 @@ class TestDecode:
         truth = np.stack([f(x) for x in data])
         got = lagrange_decode(cfg, f, (1, 2, 3, 4), outs[:4])
         assert relative_l2(truth, got) <= 1e-9
+
+    def test_surviving_anchors_are_their_outputs_bitwise(self):
+        # degree 2: K = 7 > m, so survivors mix anchors and coded workers
+        cfg = LagrangeConfig(m=4, workers=9, dim=3, deg_f=2)
+        square = PolyMap(dim=3, out_dim=2, fn=lambda x: np.array([x @ x, x[0] * x[1]]))
+        rng = Rng(21)
+        data = gaussian_matrix(rng, 4, 3)
+        outs = worker_outputs(cfg, square, lagrange_encode(cfg, data))
+        truth = np.stack([square(x) for x in data])
+        surv = (9, 2, 5, 1, 7, 3, 8)  # anchor 4 erased
+        got = lagrange_decode(cfg, square, surv, outs[np.asarray(surv) - 1])
+        assert np.array_equal(got[:3], outs[:3])
+        assert relative_l2(truth[3], got[3]) <= 1e-9
+
+    def test_anchor_estimates_of_a_stack_equal_each_lane(self):
+        cfg = LagrangeConfig(m=5, workers=8, dim=2, deg_f=1)
+        gen = decode_generator(cfg, "chebyshev")
+        outs = gaussian_matrix(Rng(22), 8, 3)
+        sel = np.array([list(s) for s in combinations(range(8), 5)])  # 0-based survivors
+        folded = solve(gen.T[sel].transpose(0, 2, 1), outs[sel], transposed=True)
+        stacked = anchor_estimates(gen[:, :5], folded, sel, outs[sel])
+        for lane, survivors in enumerate(sel):
+            alone = anchor_estimates(gen[:, :5], folded[lane], survivors, outs[survivors])
+            assert np.array_equal(stacked[lane], alone)
 
     def test_any_two_of_four(self):
         cfg = LagrangeConfig(m=2, workers=4, dim=1, deg_f=1)

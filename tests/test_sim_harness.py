@@ -259,6 +259,22 @@ class TestLagrangeTrial:
         assert infinite.any() and not infinite.all()
 
 
+    def test_singular_lane_reads_inf_even_when_no_anchor_was_erased(self):
+        # only the two coded workers are erased: every anchor is its own output
+        fixed = FaultModel(mode="fixed", subset=tuple(range(1, 39)))
+        cfg = lagrange_codes.LagrangeConfig(m=38, workers=40, dim=3, deg_f=1)
+        rng = Rng(23)
+        data, f = gaussian_matrix(rng, 38, 3), lagrange_codes.linear_map(rng.normals(3))
+        assert run_lagrange_trial(cfg, f, data, fixed).worst == 0.0
+        fixed = FaultModel(mode="fixed", subset=tuple(range(1, 59)))
+        cfg = lagrange_codes.LagrangeConfig(m=58, workers=60, dim=3, deg_f=1)
+        data = gaussian_matrix(rng, 58, 3)
+        assert run_lagrange_trial(cfg, f, data, fixed, "monomial").worst == math.inf
+        outs = lagrange_codes.worker_outputs(cfg, f, lagrange_codes.lagrange_encode(cfg, data))
+        with pytest.raises(linalg.SingularMatrixError):
+            lagrange_codes.lagrange_decode(cfg, f, fixed.subset, outs[:58], "monomial")
+
+
 class TestLaneIndependence:
     """A replayed subset's value is a function of its own inputs: the eval
     table is read in entry blocks, and every subset takes the same
