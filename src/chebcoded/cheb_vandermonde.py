@@ -8,7 +8,9 @@ condition sweep and the error replay (subsets as index arrays,
 exhaustive or sampled, gathered a chunk at a time and reduced to a
 worst/average pair); worst/average condition numbers over square column
 submatrices, from the erased columns alone for the Chebyshev kinds on
-their own grid and from one batched SVD otherwise; and the two
+their own grid and from one batched SVD otherwise; the decoders' solves
+against survivor submatrices (:class:`SurvivorSolver`), from the erased
+columns in the same case and by the blocked LU otherwise; and the two
 conditioning bounds checked empirically in the experiments.
 """
 
@@ -37,6 +39,7 @@ __all__ = [
     "SubsetStats",
     "subset_stats",
     "subset_cond_stats",
+    "SurvivorSolver",
     "theorem_bound_value",
     "gaussian_bound_trial",
 ]
@@ -309,6 +312,137 @@ def _complement_conds(q: np.ndarray, d0: float, erased: np.ndarray, norm: str) -
     return np.concatenate(out)
 
 
+def _grid_d0(kind: str, k: int, points: np.ndarray) -> float | None:
+    """d0 of the k-row generator sqrt(n/2) D Q[:k], with Q of
+    :func:`_grid_orthogonal` and D = diag(d0, 1, ..., 1), when ``kind`` is a
+    Chebyshev kind on its own grid (``points`` equal to
+    ``cheb_grid(n).points``) with fewer erased than surviving columns: the
+    case the erased-column kernels serve.  None otherwise."""
+    n = points.size
+    if kind not in ("chebyshev", "chebyshev_normalized") or n - k >= k:
+        return None
+    if not np.array_equal(points, cheb_grid(n).points):
+        return None
+    return math.sqrt(2.0) if kind == "chebyshev" else 1.0
+
+
+def _solve_lanes(a, rhs, single: bool, transposed: bool = False) -> np.ndarray:
+    """:func:`chebcoded.linalg.solve` of a stack, or of its one lane alone
+    (raising SingularMatrixError) when ``single``."""
+    if single:
+        return solve(a[0], rhs[0], transposed)[None]
+    return solve(a, rhs, transposed)
+
+
+class SurvivorSolver:
+    """Solves with the square survivor submatrices G_R = G[:, R] of a
+    k x n generator G: :meth:`weights` gives W with G_R W = rhs (the fusion
+    weights of a matmul decode), :meth:`fold` gives v with G_R^T v = rhs
+    (the folded Lagrange fusion).
+
+    ``sel`` holds the sorted 0-based survivors R: (k,) for one solve, which
+    raises SingularMatrixError when singular, or (count, k) for a stack,
+    whose singular lanes read NaN.  Every lane is solved on its own, with
+    products of one shape whatever the stack holds, so a lane solved alone
+    gives the same bits as inside a stack.
+
+    A generator of a Chebyshev kind on its own grid with s = n - k < k
+    (``kind`` and ``points`` as given to :func:`build_generator`) is
+    G = c D Q[:k], c = sqrt(n/2), D = diag(d0, 1, ..., 1), with the
+    orthogonal Q of :func:`_grid_orthogonal`.  From Q Q^T = Q^T Q = I, with
+    Q11 = Q[:k, R], Q12 = Q[:k, R^c], Q21 = Q[k:, R] and Q22 = Q[k:, R^c],
+
+        Q11^-1 = Q11^T - Q21^T Q22^-T Q12^T,
+
+    so a lane takes one s x s solve with its erased columns Q22 and a few
+    products of size n x k instead of a k x k LU, and is singular when
+    that solve is.  One refinement step follows: the residual against the
+    true G_R (not its Q form) is corrected through the same map.  Every
+    other generator (monomial, custom points, s >= k, or no ``kind``)
+    takes the blocked LU of :func:`chebcoded.linalg.solve` on the gathered
+    G_R.
+    """
+
+    def __init__(self, generator: np.ndarray, kind: str | None = None, points=None):
+        self.generator = generator
+        k, n = generator.shape
+        d0 = None
+        if kind is not None:
+            pts = np.asarray(points, dtype=np.float64).ravel()
+            d0 = _grid_d0(kind, k, pts) if pts.size == n else None
+        # the orthogonal Q of the erased-column kernel; None for the blocked LU
+        self.q = None if d0 is None else _grid_orthogonal(n)
+        self._scale = np.full((k, 1), math.sqrt(n / 2.0))  # c D, as a column
+        self._scale[0] *= d0 or 1.0
+
+    def weights(self, sel, rhs) -> np.ndarray:
+        """W with G_R W = ``rhs``, one (k, q) right-hand side for every lane."""
+        sel = np.asarray(sel)
+        if self.q is None:
+            rhs_lanes = np.broadcast_to(rhs, sel.shape[:-1] + rhs.shape)
+            # [..., i, j] = generator[i, sel[..., j]], passed as a temporary
+            # so that solve can free it once copied
+            return solve(self.generator.T[sel].swapaxes(-1, -2), rhs_lanes)
+        single, sel = sel.ndim == 1, np.atleast_2d(sel)
+        lanes, erased = self._erased(sel)
+        qk = self.q[: sel.shape[1]].T
+        z = qk @ (rhs / self._scale)  # Q[:k]^T D^-1 rhs / c, once for every lane
+        with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
+            w = self._inverse(np.broadcast_to(z, (len(sel),) + z.shape), sel, erased, single)
+            scattered = np.zeros((len(sel),) + z.shape)
+            scattered[lanes, sel] = w
+            resid = rhs - np.matmul(self.generator, scattered)  # G_R W, zeros off R
+            w += self._inverse(np.matmul(qk, resid / self._scale), sel, erased, single)
+        return w[0] if single else w
+
+    def fold(self, sel, rhs) -> np.ndarray:
+        """v with G_R^T v = ``rhs``: (k, v) for one solve, (count, k, v) for a stack."""
+        sel = np.asarray(sel)
+        if self.q is None:
+            return solve(self.generator.T[sel].swapaxes(-1, -2), rhs, transposed=True)
+        single, sel = sel.ndim == 1, np.atleast_2d(sel)
+        rhs = np.asarray(rhs, dtype=np.float64).reshape(sel.shape + (-1,))
+        lanes, erased = self._erased(sel)
+        with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
+            v = self._inverse_transposed(rhs, sel, erased, single)
+            resid = rhs - np.matmul(self.generator.T, v)[lanes, sel]  # G_R^T v
+            v += self._inverse_transposed(resid, sel, erased, single)
+        return v[0] if single else v
+
+    def _erased(self, sel):
+        """Lane numbers as a column, and the sorted erased columns of each lane."""
+        lanes = np.arange(len(sel))[:, None]
+        keep = np.ones((len(sel), self.q.shape[0]), dtype=bool)
+        keep[lanes, sel] = False
+        return lanes, np.nonzero(keep)[1].reshape(len(sel), -1)
+
+    def _inverse(self, z, sel, erased, single):
+        """Q11^-1 y per lane from z = Q[:k]^T y: z[R] - Q21^T u, Q22^T u = z[R^c]."""
+        lanes = np.arange(len(sel))[:, None]
+        w = z[lanes, sel]
+        if erased.shape[1]:
+            k = sel.shape[1]
+            q22t = self.q.T[erased][:, :, k:]  # [lane, j, i] = Q[k + i, erased[lane, j]]
+            u = _solve_lanes(q22t, z[lanes, erased], single)
+            w -= np.matmul(self.q[k:].T, u)[lanes, sel]
+        return w
+
+    def _inverse_transposed(self, b, sel, erased, single):
+        """(c D)^-1 Q11^-T b per lane: Q11 b - Q12 t with Q22 t = Q21 b, where
+        Q11 b over Q21 b is Q times b scattered to the survivor rows."""
+        lanes = np.arange(len(sel))[:, None]
+        k = sel.shape[1]
+        scattered = np.zeros((len(sel), self.q.shape[0], b.shape[2]))
+        scattered[lanes, sel] = b
+        h = np.matmul(self.q, scattered)
+        x = h[:, :k]
+        if erased.shape[1]:
+            cols = self.q.T[erased]  # [lane, j, i] = Q[i, erased[lane, j]]
+            t = _solve_lanes(cols[:, :, k:], h[:, k:], single, transposed=True)
+            x = x - np.matmul(cols[:, :, :k].transpose(0, 2, 1), t)
+        return x / self._scale
+
+
 def subset_cond_stats(
     kind: str,
     k: int,
@@ -335,9 +469,8 @@ def subset_cond_stats(
     if norm not in ("spectral", "frobenius"):
         raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
     idx = subset_index(n, k, samples, rng)
-    on_grid = np.array_equal(pts, cheb_grid(n).points)
-    if kind in ("chebyshev", "chebyshev_normalized") and n - k < k and on_grid:
-        d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0  # generator sqrt(n/2) D Q[:k]
+    d0 = _grid_d0(kind, k, pts)
+    if d0 is not None:
         conds = _complement_conds(_grid_orthogonal(n), d0, idx, norm)
     else:
         conds = _subset_conds(build_generator(kind, k, pts), idx, norm)

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator, check_survivors, evaluation_points
-from .linalg import as_matrix, solve
+from .cheb_vandermonde import SurvivorSolver, build_generator, check_survivors, evaluation_points
+from .linalg import as_matrix
 
 __all__ = [
     "LagrangeConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "lagrange_decode",
     "anchor_estimates",
     "decode_generator",
+    "decode_solver",
 ]
 
 DECODE_BASES = ("chebyshev", "monomial")
@@ -130,6 +131,13 @@ def decode_generator(config: LagrangeConfig, basis: str) -> np.ndarray:
     return build_generator(basis, config.threshold, config.points)
 
 
+def decode_solver(config: LagrangeConfig, basis: str) -> SurvivorSolver:
+    """The survivor solver of :func:`decode_generator`: the erased-column
+    kernel for the Chebyshev basis on the grid with fewer erased than
+    surviving workers, the blocked LU otherwise."""
+    return SurvivorSolver(decode_generator(config, basis), basis, config.points)
+
+
 def lagrange_decode(
     config: LagrangeConfig,
     f: PolyMap,
@@ -142,10 +150,10 @@ def lagrange_decode(
     Each output component is a degree-(K-1) polynomial of the grid
     coordinate, interpolated through the K survivor columns G_R of the
     chosen generator and evaluated at the anchor columns.  The fusion is
-    folded onto the output side: one transposed solve, G_R^T v = outputs
-    (K x out_dim), the same v the harness replay computes; the estimates
-    come from :func:`anchor_estimates`.  Returns an (m, out_dim) array of
-    estimates.
+    folded onto the output side: one solve G_R^T v = outputs (K x out_dim)
+    by :func:`decode_solver`, the same v the harness replay computes; the
+    estimates come from :func:`anchor_estimates`.  Returns an (m, out_dim)
+    array of estimates; a singular solve raises SingularMatrixError.
     """
     surv = check_survivors(survivors, config.threshold, config.workers)
     outs = as_matrix(outputs)
@@ -156,10 +164,10 @@ def lagrange_decode(
     order = np.argsort([int(s) for s in survivors], kind="stable")
     outs = outs[order]
 
-    gen = decode_generator(config, basis)
+    solver = decode_solver(config, basis)
     sel = np.asarray(surv, dtype=np.int64) - 1
-    folded = solve(gen[:, sel], outs, transposed=True)
-    return anchor_estimates(gen[:, : config.m], folded, sel, outs)
+    folded = solver.fold(sel, outs)
+    return anchor_estimates(solver.generator[:, : config.m], folded, sel, outs)
 
 
 def anchor_estimates(anchors, folded, sel, outputs) -> np.ndarray:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_vandermonde import build_generator, check_survivors, evaluation_points
-from .linalg import as_matrix, invert, matmul, solve
+from .cheb_vandermonde import SurvivorSolver, build_generator, check_survivors, evaluation_points
+from .linalg import as_matrix, invert, matmul
 from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
@@ -291,36 +291,37 @@ class DecodeOperator:
     """Linear pieces of a family's fusion step.
 
     ``generator`` (K x P) holds the interpolation basis at all worker
-    points; ``recovery`` (K x q) maps an interpolated coefficient vector
+    points, built by :func:`chebcoded.cheb_vandermonde.build_generator` as
+    ``kind``; ``recovery`` (K x q) maps an interpolated coefficient vector
     to the q output block values of one matrix entry.
     """
 
     threshold: int
     generator: np.ndarray
     recovery: np.ndarray
+    kind: str
 
 
 def decode_operator(config: SchemeConfig) -> DecodeOperator:
     k = recovery_threshold(config)
-    pts = config.points
     if config.family == "matdot":
-        gen = build_generator("monomial", k, pts)
+        kind = "monomial"
         rec = np.zeros((k, 1))
         rec[config.m - 1, 0] = 1.0
     elif config.family == "orthomatdot":
-        gen = build_generator("chebyshev_normalized", k, pts)
+        kind = "chebyshev_normalized"
         inner_grid = cheb_grid(config.m).points
-        eval_at_roots = build_generator("chebyshev_normalized", k, inner_grid)
+        eval_at_roots = build_generator(kind, k, inner_grid)
         rec = eval_at_roots @ np.full((config.m, 1), 2.0 / config.m)
     elif config.family == "polynomial":
         # coefficient of x^{i+jm} is exactly block (i, j): identity map
-        gen = build_generator("monomial", k, pts)
+        kind = "monomial"
         rec = np.eye(k)
     elif config.family == "orthopoly":
-        gen = build_generator("chebyshev", k, pts)
+        kind = "chebyshev"
         rec = invert(build_h_map(config.m, config.n)).T
     else:
-        gen = build_generator("chebyshev", k, pts)
+        kind = "chebyshev"
         rec = np.zeros((k, config.m1 * config.m3))
         for l in range(config.m3):
             for i in range(config.m1):
@@ -329,7 +330,8 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
                 # encoding factors carry the halved T_0, so that block's
                 # coefficient is C/4 instead of C/2
                 rec[idx, l * config.m1 + i] = 4.0 if idx == 0 else 2.0
-    return DecodeOperator(threshold=k, generator=gen, recovery=rec)
+    gen = build_generator(kind, k, config.points)
+    return DecodeOperator(k, gen, rec, kind)
 
 
 def assemble_blocks(config: SchemeConfig, blocks: np.ndarray, block_shape) -> np.ndarray:
@@ -357,10 +359,13 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     Survivor/output pairs are sorted canonically first, so any input
     ordering produces a bitwise identical result.  The family's recovery
     map is folded into one solve against the survivor submatrix G_R,
-    W = G_R^{-1} @ recovery (K x q); every output entry's block values
-    are then its survivor evaluations times W, one GEMM per range of
-    _DECODE_CHUNK entries (no K x entries copy of the whole product), and
-    assembled into the N1 x N3 product.
+    G_R W = recovery (K x q), by
+    :class:`~chebcoded.cheb_vandermonde.SurvivorSolver`: from the erased
+    columns for a Chebyshev generator on its own grid, by the blocked LU
+    otherwise; a singular G_R raises SingularMatrixError.  Every output
+    entry's block values are then its survivor evaluations times W, one
+    GEMM per range of _DECODE_CHUNK entries (no K x entries copy of the
+    whole product), and assembled into the N1 x N3 product.
     """
     surv = check_survivors(survivors, recovery_threshold(config), config.workers)
     by_index = {int(o.worker_index): o for o in outputs}
@@ -374,7 +379,8 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     flat = [p.ravel() for p in products]
 
     op = decode_operator(config)
-    weights = solve(op.generator[:, np.asarray(surv, dtype=np.int64) - 1], op.recovery)
+    solver = SurvivorSolver(op.generator, op.kind, config.points)
+    weights = solver.weights(np.asarray(surv, dtype=np.int64) - 1, op.recovery)
     blocks = np.empty((weights.shape[1], flat[0].size))  # (q, entries)
     for lo in range(0, flat[0].size, _DECODE_CHUNK):
         hi = lo + _DECODE_CHUNK

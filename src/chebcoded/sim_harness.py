@@ -2,16 +2,18 @@
 
 A trial encodes once, computes all P worker outputs once, and then
 replays erasure patterns: each survivor subset costs one solve against
-the survivor submatrix of the decode generator.  The subsets come from
-the pipeline the condition sweep uses (:mod:`chebcoded.cheb_vandermonde`):
-one index array, gathered a chunk at a time and reduced to one
-worst/average result.  The matmul fusion weights W_R = G_R^{-1} @ recovery
-come from the same :func:`chebcoded.linalg.solve` call that
+the survivor submatrix G_R of the decode generator, by
+:class:`chebcoded.cheb_vandermonde.SurvivorSolver` (from the erased
+columns for a Chebyshev generator on its own grid, by the blocked LU
+otherwise).  The subsets come from the pipeline the condition sweep uses
+(:mod:`chebcoded.cheb_vandermonde`): one index array, gathered a chunk at
+a time and reduced to one worst/average result.  The matmul fusion
+weights, G_R W_R = recovery, come from the same solver call that
 :func:`chebcoded.matmul_codes.decode` makes, so they are bitwise the
 decoder's; only the estimate products differ in shape (one per subset
 and entry block of the eval table instead of one per decode).  The
 Lagrange replay folds the fusion onto the outputs instead: v_R solves
-G_R^T v_R = outputs_R in the transposed solve that
+G_R^T v_R = outputs_R in the solver call that
 :func:`chebcoded.lagrange_codes.lagrange_decode` makes, bitwise the
 decoder's; an erased anchor is estimated as its column of anchors^T @ v_R
 and a surviving one by its own output, in the decoder's
@@ -42,13 +44,14 @@ from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
     GENERATOR_KINDS,
     SubsetStats,
+    SurvivorSolver,
     check_survivors,
     subset_cond_stats,
     subset_index,
     subset_stats,
     survivor_chunks,
 )
-from .linalg import Rng, as_matrix, gaussian_matrix, matmul, solve
+from .linalg import Rng, as_matrix, gaussian_matrix, matmul
 from .poly_basis import cheb_grid
 
 __all__ = [
@@ -193,7 +196,7 @@ def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> np.ndar
     return subset_index(workers, threshold, samples, Rng(fault.seed or 0))
 
 
-def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndarray:
+def _replay_errors(generator, recovery, all_evals, truth_blocks, idx, kind=None, points=None):
     """Relative errors of the folded fusion map, one per row of the index
     array ``idx``.
 
@@ -201,11 +204,14 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndar
     times the weights W_R = G_R^{-1} @ recovery; the weights are scattered
     back so the precomputed eval table can be reused unchanged.  Subsets
     are replayed in the chunks of :func:`chebcoded.cheb_vandermonde.survivor_chunks`:
-    one stacked :func:`chebcoded.linalg.solve` gives the weights of the
-    whole chunk.  The eval table is then read one cache-sized entry block
-    (``REPLAY_BLOCK_FLOATS``) at a time: each subset takes its own product
-    against the block, the truth is subtracted in place, and the squares
-    are added to the subset's running sum.
+    one stacked solve of the
+    :class:`~chebcoded.cheb_vandermonde.SurvivorSolver` of ``generator``,
+    ``kind`` and ``points`` gives the weights of the whole chunk (the
+    blocked LU without a kind).  The eval table is then read one
+    cache-sized entry block (``REPLAY_BLOCK_FLOATS``) at a time: each
+    subset takes its own product against the block, the truth is
+    subtracted in place, and the squares are added to the subset's
+    running sum.
     Singular lanes (NaN weights) and overflowing ones report the infinity
     sentinel.  A lane's products have the same shapes whatever its chunk
     holds (one GEMM over the chunk would round by the chunk's width), so
@@ -217,21 +223,19 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, idx) -> np.ndar
     truth_norm = float(np.linalg.norm(truth_blocks))
     floats_per_subset = k * k + 2 * k * q + workers * q + 2 * entries * q
     chunks = survivor_chunks(idx, workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS)
+    solver = SurvivorSolver(generator, kind, points)
     return np.concatenate(
-        [_replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, s) for s in chunks]
+        [_replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, s) for s in chunks]
     )
 
 
-def _replay_chunk(generator, recovery, all_evals, truth_blocks, truth_norm, sel):
+def _replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, sel):
     count = len(sel)
-    # [s, i, j] = generator[i, sel[s, j]], i.e. the survivor submatrix G_R;
-    # passed as a temporary so that solve can free it once copied
-    weights = solve(
-        generator.T[sel].transpose(0, 2, 1), np.broadcast_to(recovery, (count,) + recovery.shape)
-    )
-    scattered = np.zeros((count, generator.shape[1], recovery.shape[1]))
+    workers = solver.generator.shape[1]
+    weights = solver.weights(sel, recovery)
+    scattered = np.zeros((count, workers, recovery.shape[1]))
     scattered[np.arange(count)[:, None], sel, :] = weights
-    rows = max(1, REPLAY_BLOCK_FLOATS // generator.shape[1])
+    rows = max(1, REPLAY_BLOCK_FLOATS // workers)
     squares = np.zeros(count)
     with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
         for lo in range(0, all_evals.shape[0], rows):
@@ -254,7 +258,9 @@ def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
     outputs = [matmul_codes.worker_compute(s) for s in shards]
     all_evals = np.stack([o.product.ravel() for o in outputs], axis=1)
     truth_blocks = matmul_codes.truth_block_table(config, matmul(a, b))
-    errors = _replay_errors(op.generator, op.recovery, all_evals, truth_blocks, idx)
+    errors = _replay_errors(
+        op.generator, op.recovery, all_evals, truth_blocks, idx, op.kind, config.points
+    )
     return subset_stats(errors, idx, config.workers, op.threshold)
 
 
@@ -262,7 +268,8 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     """Lagrange-coding trial; truth is f applied to the raw data points.
     The survivor subsets are listed first, as in :func:`run_trial`.  Each
     chunk of :func:`chebcoded.cheb_vandermonde.survivor_chunks` takes one
-    stacked transposed solve G_R^T v_R = outputs_R (a right-hand side per
+    stacked solve G_R^T v_R = outputs_R of
+    :func:`chebcoded.lagrange_codes.decode_solver` (a right-hand side per
     output component, not per anchor) and the estimates of
     :func:`chebcoded.lagrange_codes.anchor_estimates`.  A lane whose v_R is
     singular (NaN) or overflows reports the infinity sentinel, even when
@@ -271,16 +278,15 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
     truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
-    gen = lagrange_codes.decode_generator(config, basis)
-    anchors = gen[:, : config.m]
+    solver = lagrange_codes.decode_solver(config, basis)
+    anchors = solver.generator[:, : config.m]
     k, v = config.threshold, outs.shape[1]
     truth_norm = float(np.linalg.norm(truth))
     floats_per_subset = 2 * k * k + 3 * k * v + config.m * v
     errors = []
     for sel in survivor_chunks(idx, config.workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS):
         outs_r = outs[sel]
-        # [s, i, j] = gen[i, sel[s, j]], i.e. the survivor submatrix G_R
-        folded = solve(gen.T[sel].transpose(0, 2, 1), outs_r, transposed=True)
+        folded = solver.fold(sel, outs_r)
         with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
             diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs_r) - truth
             errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm

@@ -169,18 +169,22 @@ class TestRunTrial:
 
     @pytest.mark.parametrize(
         "family, workers, splits",
-        [("orthomatdot", 7, {"m": 2}), ("orthopoly", 7, {"m": 2, "n": 2})],
+        [
+            ("orthomatdot", 7, {"m": 2}),  # s = 4 >= k = 3: the blocked LU
+            ("orthopoly", 7, {"m": 2, "n": 2}),  # s = 3 < k = 4: the erased-column kernel
+            ("orthomatdot", 9, {"m": 4}),  # s = 2 < k = 7: the erased-column kernel
+        ],
     )
     def test_decode_weights_equal_replay_weights_bitwise(self, monkeypatch, family, workers, splits):
         config = scheme_config(family, workers, **splits)
         weights = []
+        survivor_weights = cheb_vandermonde.SurvivorSolver.weights
 
-        def recording_solve(a, rhs):
-            weights.append(linalg.solve(a, rhs))
+        def recording_weights(solver, sel, rhs):
+            weights.append(survivor_weights(solver, sel, rhs))
             return weights[-1]
 
-        monkeypatch.setattr(sim_harness, "solve", recording_solve)
-        monkeypatch.setattr(matmul_codes, "solve", recording_solve)
+        monkeypatch.setattr(cheb_vandermonde.SurvivorSolver, "weights", recording_weights)
         fault = FaultModel(mode="exhaustive")
         run_trial(config, self.a, self.b, fault)
         (chunk,) = weights  # every subset in one stacked solve
@@ -219,14 +223,13 @@ class TestLagrangeTrial:
         data = gaussian_matrix(rng, 4, 3)
         f = lagrange_codes.linear_map(rng.normals(3))
         folded = []
+        survivor_fold = cheb_vandermonde.SurvivorSolver.fold
 
-        def recording_solve(a, rhs, transposed=False):
-            assert transposed
-            folded.append(linalg.solve(a, rhs, transposed=True))
+        def recording_fold(solver, sel, rhs):
+            folded.append(survivor_fold(solver, sel, rhs))
             return folded[-1]
 
-        monkeypatch.setattr(sim_harness, "solve", recording_solve)
-        monkeypatch.setattr(lagrange_codes, "solve", recording_solve)
+        monkeypatch.setattr(cheb_vandermonde.SurvivorSolver, "fold", recording_fold)
         run_lagrange_trial(cfg, f, data, FaultModel(mode="exhaustive"))
         (chunk,) = folded
         subsets = _survivors(FaultModel(mode="exhaustive"), 7, 4)
@@ -238,23 +241,33 @@ class TestLagrangeTrial:
             assert np.array_equal(folded[0], chunk[pos])
 
     def test_infinite_lanes_are_the_singular_lanes_of_the_plain_solve(self, monkeypatch):
-        stacks, errors = [], []
+        # the path's own solve decides: the k x k LU of G_R for the monomial
+        # basis, the s x s solve with the erased columns Q22 for the Chebyshev one
+        folds, errors = [], []
+        survivor_fold = cheb_vandermonde.SurvivorSolver.fold
 
-        def recording_solve(a, rhs, transposed=False):
-            stacks.append((np.array(a), np.array(rhs)))
-            return linalg.solve(a, rhs, transposed)
+        def recording_fold(solver, sel, rhs):
+            folds.append((solver, np.array(sel)))
+            return survivor_fold(solver, sel, rhs)
 
         def recording_stats(values, *args):
             errors.append(values)
             return cheb_vandermonde.subset_stats(values, *args)
 
-        monkeypatch.setattr(sim_harness, "solve", recording_solve)
+        monkeypatch.setattr(cheb_vandermonde.SurvivorSolver, "fold", recording_fold)
         monkeypatch.setattr(sim_harness, "subset_stats", recording_stats)
         sweep(lagrange_stability_plan(workers=(20, 40, 60), samples=20))
-        assert len(stacks) == len(errors) == 2 * 3 * 5  # bases x P x seeds, one chunk each
-        for (a, rhs), values in zip(stacks, errors):
-            singular = np.isnan(linalg.solve(a, rhs)).all(axis=(1, 2))
-            assert np.array_equal(np.isinf(values), singular)
+        assert len(folds) == len(errors) == 2 * 3 * 5  # bases x P x seeds, one chunk each
+        for (solver, sel), values in zip(folds, errors):
+            k, workers = solver.generator.shape
+            ones = np.ones(sel.shape + (1,))
+            if solver.q is not None:  # the Chebyshev basis
+                erased = np.array([np.setdiff1d(np.arange(workers), row) for row in sel])
+                q22 = solver.q.T[erased][:, :, k:]
+                singular = np.isnan(linalg.solve(q22, ones[:, : workers - k]))
+            else:
+                singular = np.isnan(linalg.solve(solver.generator.T[sel].transpose(0, 2, 1), ones))
+            assert np.array_equal(np.isinf(values), singular.all(axis=(1, 2)))
         infinite = np.concatenate(errors) == math.inf
         assert infinite.any() and not infinite.all()
 
