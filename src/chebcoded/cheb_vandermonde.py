@@ -326,12 +326,12 @@ def _grid_d0(kind: str, k: int, points: np.ndarray) -> float | None:
     return math.sqrt(2.0) if kind == "chebyshev" else 1.0
 
 
-def _solve_lanes(a, rhs, single: bool, transposed: bool = False) -> np.ndarray:
+def _solve_lanes(a, rhs, single: bool) -> np.ndarray:
     """:func:`chebcoded.linalg.solve` of a stack, or of its one lane alone
     (raising SingularMatrixError) when ``single``."""
     if single:
-        return solve(a[0], rhs[0], transposed)[None]
-    return solve(a, rhs, transposed)
+        return solve(a[0], rhs[0])[None]
+    return solve(a, rhs)
 
 
 class SurvivorSolver:
@@ -360,7 +360,7 @@ class SurvivorSolver:
     true G_R (not its Q form) is corrected through the same map.  Every
     other generator (monomial, custom points, s >= k, or no ``kind``)
     takes the blocked LU of :func:`chebcoded.linalg.solve` on the gathered
-    G_R.
+    G_R, or on the gathered G_R^T for the fold.
     """
 
     def __init__(self, generator: np.ndarray, kind: str | None = None, points=None):
@@ -399,7 +399,7 @@ class SurvivorSolver:
         """v with G_R^T v = ``rhs``: (k, v) for one solve, (count, k, v) for a stack."""
         sel = np.asarray(sel)
         if self.q is None:
-            return solve(self.generator.T[sel].swapaxes(-1, -2), rhs, transposed=True)
+            return solve(self.generator.T[sel], rhs)  # G_R^T[..., j, i] = generator[i, sel[..., j]]
         single, sel = sel.ndim == 1, np.atleast_2d(sel)
         rhs = np.asarray(rhs, dtype=np.float64).reshape(sel.shape + (-1,))
         lanes, erased = self._erased(sel)
@@ -438,7 +438,7 @@ class SurvivorSolver:
         x = h[:, :k]
         if erased.shape[1]:
             cols = self.q.T[erased]  # [lane, j, i] = Q[i, erased[lane, j]]
-            t = _solve_lanes(cols[:, :, k:], h[:, k:], single, transposed=True)
+            t = _solve_lanes(cols[:, :, k:].transpose(0, 2, 1), h[:, k:], single)  # Q22
             x = x - np.matmul(cols[:, :, :k].transpose(0, 2, 1), t)
         return x / self._scale
 

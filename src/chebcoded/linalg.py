@@ -67,9 +67,8 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def solve(a, rhs, transposed: bool = False) -> np.ndarray:
-    """Solve a @ x = rhs, or a.T @ x = rhs if ``transposed``, by Gaussian
-    elimination with partial pivoting.
+def solve(a, rhs) -> np.ndarray:
+    """Solve a @ x = rhs by Gaussian elimination with partial pivoting.
 
     ``a`` is one k x k matrix with a (k,) or (k, q) right-hand side, or a
     ``(count, k, k)`` stack with a ``(count, k, q)`` right-hand side.  The
@@ -77,11 +76,9 @@ def solve(a, rhs, transposed: bool = False) -> np.ndarray:
     each panel of SOLVE_BLOCK columns is eliminated one column at a time
     (first-maximum pivot, full-row swap), and the rows to its right and
     below take one stacked matrix product per panel; the right-hand side
-    is permuted once and substituted panel by panel.  The transposed solve
-    takes the same factorization P a = L U, so a.T = U.T L.T P: the
-    right-hand side is substituted with U.T, then L.T, and the row swaps
-    are undone last.  Every lane is eliminated on its own, so a matrix
-    solved alone gives the same bits as inside a stack.
+    is permuted once and substituted panel by panel.  Every lane is
+    eliminated on its own, so a matrix solved alone gives the same bits as
+    inside a stack.
 
     A lane is singular when a pivot falls below SINGULAR_PIVOT_RTOL *
     ||a||_F (an all-zero matrix always is).  The test is taken at unit
@@ -122,16 +119,9 @@ def solve(a, rhs, transposed: bool = False) -> np.ndarray:
         del unit
         pivots, perm = _factor(lu)
         passed = np.abs(pivots) / lane_max >= unit_threshold  # (k, count), per step
-        if transposed:
-            z = np.array(rhs, order="C")
-            del rhs
-            _substitute_transposed(lu, z)
-            x = np.empty_like(z)
-            x[np.arange(count)[:, None], perm] = z  # the row swaps undone: P x = z
-        else:
-            x = rhs[np.arange(count)[:, None], perm]  # the row swaps applied to a copy of rhs
-            del rhs
-            _substitute(lu, x)
+        x = rhs[np.arange(count)[:, None], perm]  # the row swaps applied to a copy of rhs
+        del rhs
+        _substitute(lu, x)
     ok = (amax > 0.0) & passed.all(axis=0)
     if single:
         if not ok[0]:
@@ -193,30 +183,6 @@ def _substitute(lu, x):
         for row in range(stop - 1, start - 1, -1):
             x[:, row] -= np.matmul(lu[:, row, None, row + 1 : stop], x[:, row + 1 : stop])[:, 0]
             x[:, row] /= np.where(np.abs(lu[:, row, row]) > 0.0, lu[:, row, row], 1.0)[:, None]
-
-
-def _substitute_transposed(lu, z):
-    """Overwrite z with L^{-T} U^{-T} z, blocked like the factorization: in
-    the transposed view of lu, U.T is the lower triangle with the diagonal
-    and L.T the strict upper one, so the forward pass divides by the
-    pivots and the backward pass does not."""
-    k = lu.shape[1]
-    lut = lu.transpose(0, 2, 1)
-    diag = np.diagonal(lu, axis1=1, axis2=2)
-    diag = np.where(np.abs(diag) > 0.0, diag, 1.0)[:, :, None]  # poisoned lanes discarded later
-    for start in range(0, k, SOLVE_BLOCK):
-        stop = min(start + SOLVE_BLOCK, k)
-        z[:, start] /= diag[:, start]
-        for row in range(start + 1, stop):
-            z[:, row] -= np.matmul(lut[:, row, None, start:row], z[:, start:row])[:, 0]
-            z[:, row] /= diag[:, row]
-        if stop < k:
-            z[:, stop:] -= np.matmul(lut[:, stop:, start:stop], z[:, start:stop])
-    for stop in range(k, 0, -SOLVE_BLOCK):
-        start = max(stop - SOLVE_BLOCK, 0)
-        z[:, start:stop] -= np.matmul(lut[:, start:stop, stop:], z[:, stop:])
-        for row in range(stop - 2, start - 1, -1):
-            z[:, row] -= np.matmul(lut[:, row, None, row + 1 : stop], z[:, row + 1 : stop])[:, 0]
 
 
 def invert(a) -> np.ndarray:

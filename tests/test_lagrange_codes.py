@@ -118,7 +118,7 @@ class TestDecode:
         gen = decode_generator(cfg, "chebyshev")
         outs = gaussian_matrix(Rng(22), 8, 3)
         sel = np.array([list(s) for s in combinations(range(8), 5)])  # 0-based survivors
-        folded = solve(gen.T[sel].transpose(0, 2, 1), outs[sel], transposed=True)
+        folded = solve(gen.T[sel], outs[sel])  # G_R^T v = outputs_R
         stacked = anchor_estimates(gen[:, :5], folded, sel, outs[sel])
         for lane, survivors in enumerate(sel):
             alone = anchor_estimates(gen[:, :5], folded[lane], survivors, outs[survivors])

@@ -241,7 +241,7 @@ class TestLagrangeTrial:
             assert np.array_equal(folded[0], chunk[pos])
 
     def test_infinite_lanes_are_the_singular_lanes_of_the_plain_solve(self, monkeypatch):
-        # the path's own solve decides: the k x k LU of G_R for the monomial
+        # the path's own solve decides: the k x k LU of G_R^T for the monomial
         # basis, the s x s solve with the erased columns Q22 for the Chebyshev one
         folds, errors = [], []
         survivor_fold = cheb_vandermonde.SurvivorSolver.fold
@@ -263,10 +263,10 @@ class TestLagrangeTrial:
             ones = np.ones(sel.shape + (1,))
             if solver.q is not None:  # the Chebyshev basis
                 erased = np.array([np.setdiff1d(np.arange(workers), row) for row in sel])
-                q22 = solver.q.T[erased][:, :, k:]
+                q22 = solver.q.T[erased][:, :, k:].transpose(0, 2, 1)
                 singular = np.isnan(linalg.solve(q22, ones[:, : workers - k]))
             else:
-                singular = np.isnan(linalg.solve(solver.generator.T[sel].transpose(0, 2, 1), ones))
+                singular = np.isnan(linalg.solve(solver.generator.T[sel], ones))  # G_R^T
             assert np.array_equal(np.isinf(values), singular.all(axis=(1, 2)))
         infinite = np.concatenate(errors) == math.inf
         assert infinite.any() and not infinite.all()
