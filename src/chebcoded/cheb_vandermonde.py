@@ -6,12 +6,12 @@ T_0..T_{k-1} at a point vector) and its normalized variant (first row
 divided by sqrt(2)); the one survivor-subset pipeline of the
 condition sweep and the error replay (subsets as index arrays,
 exhaustive or sampled, gathered a chunk at a time and reduced to a
-worst/average pair); worst/average condition numbers over square column
-submatrices, from the erased columns alone for the Chebyshev kinds on
-their own grid and from one batched SVD otherwise; the decoders' solves
-against survivor submatrices (:class:`SurvivorSolver`), from the erased
-columns in the same case and by the blocked LU otherwise; and the two
-conditioning bounds checked empirically in the experiments.
+worst/average pair); one object, :class:`SurvivorSolver`, for both the
+decoders' solves against square survivor submatrices and their condition
+numbers, which picks once between the erased columns alone (the
+Chebyshev kinds on their own grid) and the gathered submatrix (blocked
+LU, batched SVD); and the two conditioning bounds checked empirically in
+the experiments.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "GENERATOR_KINDS",
     "EXHAUSTIVE_SUBSET_LIMIT",
     "BudgetExceededError",
+    "check_integer",
     "check_survivors",
     "evaluation_points",
     "build_generator",
@@ -52,8 +53,8 @@ EXHAUSTIVE_SUBSET_LIMIT = 10**6
 # Enumerating all m-column Gaussian submatrices gets pointless beyond this.
 _GAUSSIAN_SUBSET_LIMIT = 10**5
 
-# Survivor submatrices are gathered and conditioned in stacks of at most
-# this many bytes, one batched ``cond`` call per stack.
+# Survivor submatrices, or their erased columns, are gathered and
+# conditioned in stacks of at most this many bytes.
 COND_CHUNK_BYTES = 1 << 24
 
 
@@ -61,9 +62,21 @@ class BudgetExceededError(ValueError):
     """Exhaustive enumeration would exceed the subset budget; sample instead."""
 
 
+def check_integer(value, what: str) -> int:
+    """``value`` as an int.  Bools, strings and non-integral numbers (10.9,
+    but not 10.0) are a ValueError naming ``what``, not converted."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 def check_survivors(survivors, size: int, workers: int) -> tuple[int, ...]:
-    """Sorted survivor set: exactly ``size`` distinct indices in [1, workers]."""
-    surv = tuple(sorted(int(s) for s in survivors))
+    """Sorted survivor set: exactly ``size`` distinct integer indices in [1, workers]."""
+    surv = tuple(sorted(check_integer(s, "survivor index") for s in survivors))
     if len(surv) != size:
         raise ValueError(f"decoder needs exactly {size} survivors, got {len(surv)}")
     if len(set(surv)) != size:
@@ -132,8 +145,10 @@ def iter_column_subsets(n: int, size: int):
 # keeps the smaller side; row order is always that of the survivor subsets.
 
 
-def _survivor_index(idx: np.ndarray, n: int, size: int) -> np.ndarray:
-    """The sorted survivors of each row of an index array."""
+def _index_side(idx: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Each row of an index array over range(n) as its sorted side of
+    ``size`` columns: the row itself if it has ``size`` columns, else its
+    complement.  ``size`` k gives the survivors, n - k the erased columns."""
     if idx.shape[1] == size:
         return idx
     keep = np.ones((len(idx), n), dtype=bool)
@@ -193,19 +208,19 @@ def sample_column_subsets(n: int, size: int, count: int, rng: Rng) -> list[tuple
     """``count`` distinct 1-based survivor subsets, drawn as by
     :func:`subset_index`: a given seed always yields the same subsets in
     the same order."""
-    idx = _survivor_index(subset_index(n, size, count, rng), n, size) + 1
+    idx = _index_side(subset_index(n, size, count, rng), n, size) + 1
     return list(map(tuple, idx.tolist()))
 
 
-def survivor_chunks(idx: np.ndarray, n: int, size: int, cost: int, budget: int):
-    """The 0-based survivors of the rows of the index array ``idx``, in row
-    order, as (rows, size) arrays of at most ``budget // cost`` rows (at
-    least one), ``cost`` being what one subset's gathered working set
-    takes of ``budget``.  The condition sweep and the error replay gather
-    their survivor submatrices from these chunks."""
+def survivor_chunks(idx: np.ndarray, cost: int, budget: int):
+    """The rows of the index array ``idx``, unconverted and in row order,
+    in chunks of at most ``budget // cost`` rows (at least one), ``cost``
+    being what one subset's gathered working set takes of ``budget``.  The
+    one chunker of the condition sweep (:meth:`SurvivorSolver.conds`) and
+    of the error replays, which convert each chunk to its survivors."""
     step = max(1, budget // max(1, cost))
     for start in range(0, len(idx), step):
-        yield _survivor_index(idx[start : start + step], n, size)
+        yield idx[start : start + step]
 
 
 @dataclass(frozen=True)
@@ -226,17 +241,8 @@ def subset_stats(values: np.ndarray, idx: np.ndarray, n: int, size: int) -> Subs
     ``np.sum``), so it does not depend on how the rows were chunked."""
     worst_at = int(np.argmax(values))
     total = float(np.add.accumulate(values)[-1])
-    worst = _survivor_index(idx[worst_at : worst_at + 1], n, size)[0] + 1
+    worst = _index_side(idx[worst_at : worst_at + 1], n, size)[0] + 1
     return SubsetStats(float(values[worst_at]), total / len(values), tuple(worst.tolist()))
-
-
-def _subset_conds(mat: np.ndarray, idx: np.ndarray, norm: str) -> np.ndarray:
-    """Condition numbers of the square survivor submatrices of ``mat``,
-    one per row of the index array ``idx``, gathered in byte-bounded
-    stacks."""
-    rows, n = mat.shape
-    chunks = survivor_chunks(idx, n, rows, 8 * rows * rows, COND_CHUNK_BYTES)
-    return np.concatenate([cond(mat.T[sel].transpose(0, 2, 1), norm) for sel in chunks])
 
 
 def _grid_orthogonal(n: int) -> np.ndarray:
@@ -253,11 +259,11 @@ def _grid_orthogonal(n: int) -> np.ndarray:
     return q
 
 
-def _complement_conds(q: np.ndarray, d0: float, erased: np.ndarray, norm: str) -> np.ndarray:
+def _complement_conds(cols: np.ndarray, d0: float, norm: str) -> np.ndarray:
     """Condition numbers of A = D Q[:k, R], D = diag(d0, 1, ..., 1), for an
-    orthogonal n x n ``q`` and survivors R, one per row of the erasure
-    index array ``erased`` (s = n - k columns each), from the erased
-    columns alone instead of a k x k SVD.
+    orthogonal n x n Q and survivors R, from the erased columns alone
+    instead of a k x k SVD: one lane per (s, n) layer of ``cols``, the s
+    erased columns of Q gathered as rows, [lane, j, i] = Q[i, R^c[j]].
 
     With Q12 = Q[:k, R^c], Q22 = Q[k:, R^c] and Z = Q12 Q22^-1, the CS
     decomposition (Paige & Wei 1994) gives
@@ -275,55 +281,35 @@ def _complement_conds(q: np.ndarray, d0: float, erased: np.ndarray, norm: str) -
     with Q22 fails or overflows.  Every lane is computed on its own, so
     results do not depend on the stack size.
     """
-    n = q.shape[0]
-    s = erased.shape[1]
+    count, s, n = cols.shape
     k = n - s
     d = np.ones(s + 1)
     d[0] = d0
-    chunk = max(1, COND_CHUNK_BYTES // (8 * n * max(s, 1)))
-    out = []
-    for start in range(0, len(erased), chunk):
-        cols = q.T[erased[start : start + chunk]]  # (count, s, n): erased columns as rows
-        r1 = np.zeros((len(cols), s + 1, s))  # Q12 in the basis (e0, ...)
-        v = r1
-        if s:
-            r1[:, 0] = cols[:, :, 0]
-            r1[:, 1:] = np.linalg.qr(cols[:, :, 1:k].transpose(0, 2, 1), mode="r")
-            # V = D^-1 R1 Q22^-1 from Q22^T V^T = (D^-1 R1)^T; cols[:, :, k:] is Q22^T
-            v = solve(cols[:, :, k:], (r1 / d[:, None]).transpose(0, 2, 1)).transpose(0, 2, 1)
-        m = r1 * d[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # failed lanes, set aside below
-            inv_gram = np.diag(1.0 / (d * d)) + v @ v.transpose(0, 2, 1)
-            failed = ~np.isfinite(inv_gram).all(axis=(1, 2))
-            inv_gram[failed] = 0.0
-            big = np.linalg.eigvalsh(np.diag(d * d) - m @ m.transpose(0, 2, 1))[:, -1]
-            inv_small = np.linalg.eigvalsh(inv_gram)[:, -1]
-            if k > s + 1:
-                big, inv_small = np.maximum(big, 1.0), np.maximum(inv_small, 1.0)
-            spectral = np.sqrt(big * inv_small)
-            if norm == "spectral":
-                value = spectral
-            else:
-                fro_sq = k - 1 + d0 * d0 - np.sum(m * m, axis=(1, 2))
-                inv_fro_sq = k - 1 + 1.0 / (d0 * d0) + np.sum(v * v, axis=(1, 2))
-                value = np.sqrt(fro_sq * inv_fro_sq)
-        singular = failed | ~(spectral < 1.0 / (k * np.finfo(np.float64).eps))
-        out.append(np.where(singular, np.inf, value))
-    return np.concatenate(out)
-
-
-def _grid_d0(kind: str, k: int, points: np.ndarray) -> float | None:
-    """d0 of the k-row generator sqrt(n/2) D Q[:k], with Q of
-    :func:`_grid_orthogonal` and D = diag(d0, 1, ..., 1), when ``kind`` is a
-    Chebyshev kind on its own grid (``points`` equal to
-    ``cheb_grid(n).points``) with fewer erased than surviving columns: the
-    case the erased-column kernels serve.  None otherwise."""
-    n = points.size
-    if kind not in ("chebyshev", "chebyshev_normalized") or n - k >= k:
-        return None
-    if not np.array_equal(points, cheb_grid(n).points):
-        return None
-    return math.sqrt(2.0) if kind == "chebyshev" else 1.0
+    r1 = np.zeros((count, s + 1, s))  # Q12 in the basis (e0, ...)
+    v = r1
+    if s:
+        r1[:, 0] = cols[:, :, 0]
+        r1[:, 1:] = np.linalg.qr(cols[:, :, 1:k].transpose(0, 2, 1), mode="r")
+        # V = D^-1 R1 Q22^-1 from Q22^T V^T = (D^-1 R1)^T; cols[:, :, k:] is Q22^T
+        v = solve(cols[:, :, k:], (r1 / d[:, None]).transpose(0, 2, 1)).transpose(0, 2, 1)
+    m = r1 * d[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # failed lanes, set aside below
+        inv_gram = np.diag(1.0 / (d * d)) + v @ v.transpose(0, 2, 1)
+        failed = ~np.isfinite(inv_gram).all(axis=(1, 2))
+        inv_gram[failed] = 0.0
+        big = np.linalg.eigvalsh(np.diag(d * d) - m @ m.transpose(0, 2, 1))[:, -1]
+        inv_small = np.linalg.eigvalsh(inv_gram)[:, -1]
+        if k > s + 1:
+            big, inv_small = np.maximum(big, 1.0), np.maximum(inv_small, 1.0)
+        spectral = np.sqrt(big * inv_small)
+        if norm == "spectral":
+            value = spectral
+        else:
+            fro_sq = k - 1 + d0 * d0 - np.sum(m * m, axis=(1, 2))
+            inv_fro_sq = k - 1 + 1.0 / (d0 * d0) + np.sum(v * v, axis=(1, 2))
+            value = np.sqrt(fro_sq * inv_fro_sq)
+    singular = failed | ~(spectral < 1.0 / (k * np.finfo(np.float64).eps))
+    return np.where(singular, np.inf, value)
 
 
 def _solve_lanes(a, rhs, single: bool) -> np.ndarray:
@@ -335,10 +321,11 @@ def _solve_lanes(a, rhs, single: bool) -> np.ndarray:
 
 
 class SurvivorSolver:
-    """Solves with the square survivor submatrices G_R = G[:, R] of a
-    k x n generator G: :meth:`weights` gives W with G_R W = rhs (the fusion
-    weights of a matmul decode), :meth:`fold` gives v with G_R^T v = rhs
-    (the folded Lagrange fusion).
+    """Solves with, and conditions, the square survivor submatrices
+    G_R = G[:, R] of a k x n generator G: :meth:`weights` gives W with
+    G_R W = rhs (the fusion weights of a matmul decode), :meth:`fold` gives
+    v with G_R^T v = rhs (the folded Lagrange fusion), and :meth:`conds`
+    the condition numbers of G_R (the condition sweep).
 
     ``sel`` holds the sorted 0-based survivors R: (k,) for one solve, which
     raises SingularMatrixError when singular, or (count, k) for a stack,
@@ -346,10 +333,11 @@ class SurvivorSolver:
     products of one shape whatever the stack holds, so a lane solved alone
     gives the same bits as inside a stack.
 
-    A generator of a Chebyshev kind on its own grid with s = n - k < k
-    (``kind`` and ``points`` as given to :func:`build_generator`) is
-    G = c D Q[:k], c = sqrt(n/2), D = diag(d0, 1, ..., 1), with the
-    orthogonal Q of :func:`_grid_orthogonal`.  From Q Q^T = Q^T Q = I, with
+    The constructor alone picks the path, once.  A generator of a
+    Chebyshev kind on its own grid with s = n - k < k (``kind`` and
+    ``points`` as given to :func:`build_generator`) is G = c D Q[:k],
+    c = sqrt(n/2), D = diag(d0, 1, ..., 1), with the orthogonal Q of
+    :func:`_grid_orthogonal`, held in ``q``.  From Q Q^T = Q^T Q = I, with
     Q11 = Q[:k, R], Q12 = Q[:k, R^c], Q21 = Q[k:, R] and Q22 = Q[k:, R^c],
 
         Q11^-1 = Q11^T - Q21^T Q22^-T Q12^T,
@@ -357,23 +345,28 @@ class SurvivorSolver:
     so a lane takes one s x s solve with its erased columns Q22 and a few
     products of size n x k instead of a k x k LU, and is singular when
     that solve is.  One refinement step follows: the residual against the
-    true G_R (not its Q form) is corrected through the same map.  Every
-    other generator (monomial, custom points, s >= k, or no ``kind``)
-    takes the blocked LU of :func:`chebcoded.linalg.solve` on the gathered
-    G_R, or on the gathered G_R^T for the fold.
+    true G_R (not its Q form) is corrected through the same map.  The
+    condition numbers come from the same erased columns
+    (:func:`_complement_conds`).  Each call gathers its lanes' erased
+    columns of Q once, and its solves, refinement and condition numbers
+    all read that one gather.  Every other generator (monomial, custom
+    points, s >= k, or no ``kind``), with ``q`` None, takes the blocked LU
+    of :func:`chebcoded.linalg.solve` on the gathered G_R, or on the
+    gathered G_R^T for the fold, and one batched SVD of the gathered G_R
+    for the condition numbers.
     """
 
     def __init__(self, generator: np.ndarray, kind: str | None = None, points=None):
         self.generator = generator
         k, n = generator.shape
-        d0 = None
-        if kind is not None:
-            pts = np.asarray(points, dtype=np.float64).ravel()
-            d0 = _grid_d0(kind, k, pts) if pts.size == n else None
-        # the orthogonal Q of the erased-column kernel; None for the blocked LU
-        self.q = None if d0 is None else _grid_orthogonal(n)
+        self.q = None  # the orthogonal Q of the erased-column kernel; None for the gathered G_R
+        self._d0 = 1.0
+        if kind in ("chebyshev", "chebyshev_normalized") and n - k < k:
+            if np.array_equal(np.asarray(points, dtype=np.float64).ravel(), cheb_grid(n).points):
+                self.q = _grid_orthogonal(n)
+                self._d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0
         self._scale = np.full((k, 1), math.sqrt(n / 2.0))  # c D, as a column
-        self._scale[0] *= d0 or 1.0
+        self._scale[0] *= self._d0
 
     def weights(self, sel, rhs) -> np.ndarray:
         """W with G_R W = ``rhs``, one (k, q) right-hand side for every lane."""
@@ -384,15 +377,15 @@ class SurvivorSolver:
             # so that solve can free it once copied
             return solve(self.generator.T[sel].swapaxes(-1, -2), rhs_lanes)
         single, sel = sel.ndim == 1, np.atleast_2d(sel)
-        lanes, erased = self._erased(sel)
+        lanes, erased, cols = self._erased(sel)
         qk = self.q[: sel.shape[1]].T
         z = qk @ (rhs / self._scale)  # Q[:k]^T D^-1 rhs / c, once for every lane
         with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
-            w = self._inverse(np.broadcast_to(z, (len(sel),) + z.shape), sel, erased, single)
+            w = self._inverse(np.broadcast_to(z, (len(sel),) + z.shape), sel, erased, cols, single)
             scattered = np.zeros((len(sel),) + z.shape)
             scattered[lanes, sel] = w
             resid = rhs - np.matmul(self.generator, scattered)  # G_R W, zeros off R
-            w += self._inverse(np.matmul(qk, resid / self._scale), sel, erased, single)
+            w += self._inverse(np.matmul(qk, resid / self._scale), sel, erased, cols, single)
         return w[0] if single else w
 
     def fold(self, sel, rhs) -> np.ndarray:
@@ -402,42 +395,58 @@ class SurvivorSolver:
             return solve(self.generator.T[sel], rhs)  # G_R^T[..., j, i] = generator[i, sel[..., j]]
         single, sel = sel.ndim == 1, np.atleast_2d(sel)
         rhs = np.asarray(rhs, dtype=np.float64).reshape(sel.shape + (-1,))
-        lanes, erased = self._erased(sel)
+        lanes, _, cols = self._erased(sel)
         with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
-            v = self._inverse_transposed(rhs, sel, erased, single)
+            v = self._inverse_transposed(rhs, sel, cols, single)
             resid = rhs - np.matmul(self.generator.T, v)[lanes, sel]  # G_R^T v
-            v += self._inverse_transposed(resid, sel, erased, single)
+            v += self._inverse_transposed(resid, sel, cols, single)
         return v[0] if single else v
 
-    def _erased(self, sel):
-        """Lane numbers as a column, and the sorted erased columns of each lane."""
-        lanes = np.arange(len(sel))[:, None]
-        keep = np.ones((len(sel), self.q.shape[0]), dtype=bool)
-        keep[lanes, sel] = False
-        return lanes, np.nonzero(keep)[1].reshape(len(sel), -1)
+    def conds(self, rows, norm: str = "spectral") -> np.ndarray:
+        """Condition numbers of G_R in ``norm``, the infinity sentinel when
+        singular, one per row of an index array as :func:`subset_index`
+        gives it (either side; the kernel's rows are its erased side).
+        Rows go through :func:`survivor_chunks` at ``COND_CHUNK_BYTES``, a
+        lane costing its gather: 8 n s bytes for the kernel, 8 k^2 for the
+        SVD."""
+        if norm not in ("spectral", "frobenius"):
+            raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
+        k, n = self.generator.shape
+        if self.q is None:
+            chunks = survivor_chunks(rows, 8 * k * k, COND_CHUNK_BYTES)
+            stacks = (self.generator.T[_index_side(c, n, k)].transpose(0, 2, 1) for c in chunks)
+            return np.concatenate([cond(stack, norm) for stack in stacks])
+        chunks = survivor_chunks(rows, 8 * n * (n - k), COND_CHUNK_BYTES)
+        gathers = (self._erased(c)[2] for c in chunks)
+        return np.concatenate([_complement_conds(cols, self._d0, norm) for cols in gathers])
 
-    def _inverse(self, z, sel, erased, single):
+    def _erased(self, rows):
+        """Lane numbers as a column, the sorted erased columns of each lane
+        of the index array ``rows`` (either side), and their one gather from
+        Q as rows: [lane, j, i] = Q[i, erased[lane, j]]."""
+        n = self.q.shape[0]
+        erased = _index_side(rows, n, n - self.generator.shape[0])
+        return np.arange(len(rows))[:, None], erased, self.q.T[erased]
+
+    def _inverse(self, z, sel, erased, cols, single):
         """Q11^-1 y per lane from z = Q[:k]^T y: z[R] - Q21^T u, Q22^T u = z[R^c]."""
         lanes = np.arange(len(sel))[:, None]
         w = z[lanes, sel]
         if erased.shape[1]:
             k = sel.shape[1]
-            q22t = self.q.T[erased][:, :, k:]  # [lane, j, i] = Q[k + i, erased[lane, j]]
-            u = _solve_lanes(q22t, z[lanes, erased], single)
+            u = _solve_lanes(cols[:, :, k:], z[lanes, erased], single)  # cols[:, :, k:] is Q22^T
             w -= np.matmul(self.q[k:].T, u)[lanes, sel]
         return w
 
-    def _inverse_transposed(self, b, sel, erased, single):
+    def _inverse_transposed(self, b, sel, cols, single):
         """(c D)^-1 Q11^-T b per lane: Q11 b - Q12 t with Q22 t = Q21 b, where
         Q11 b over Q21 b is Q times b scattered to the survivor rows."""
-        lanes = np.arange(len(sel))[:, None]
         k = sel.shape[1]
         scattered = np.zeros((len(sel), self.q.shape[0], b.shape[2]))
-        scattered[lanes, sel] = b
+        scattered[np.arange(len(sel))[:, None], sel] = b
         h = np.matmul(self.q, scattered)
         x = h[:, :k]
-        if erased.shape[1]:
-            cols = self.q.T[erased]  # [lane, j, i] = Q[i, erased[lane, j]]
+        if cols.shape[1]:
             t = _solve_lanes(cols[:, :, k:].transpose(0, 2, 1), h[:, k:], single)  # Q22
             x = x - np.matmul(cols[:, :, :k].transpose(0, 2, 1), t)
         return x / self._scale
@@ -455,26 +464,18 @@ def subset_cond_stats(
     the k-row generator at ``points``.
 
     Visits the size-k column subsets of :func:`subset_index`: all of them,
-    or ``samples`` drawn without replacement from ``rng``.  The two
-    Chebyshev kinds on their own grid (``points`` equal to
-    ``cheb_grid(n).points``) with fewer erased than surviving columns take
-    their condition numbers from the erased columns alone
-    (:func:`_complement_conds`); every other case gathers the k x k
-    submatrices of the generator for one batched SVD.  Singular
+    or ``samples`` drawn without replacement from ``rng``.  The values are
+    :meth:`SurvivorSolver.conds` of the generator, whose constructor picks
+    the path: from the erased columns alone for the two Chebyshev kinds on
+    their own grid with fewer erased than surviving columns, from one
+    batched SVD of the gathered submatrices otherwise.  Singular
     submatrices contribute the infinity sentinel; :func:`subset_stats`
     reduces the values.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
-    n = pts.size
-    if norm not in ("spectral", "frobenius"):
-        raise ValueError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
-    idx = subset_index(n, k, samples, rng)
-    d0 = _grid_d0(kind, k, pts)
-    if d0 is not None:
-        conds = _complement_conds(_grid_orthogonal(n), d0, idx, norm)
-    else:
-        conds = _subset_conds(build_generator(kind, k, pts), idx, norm)
-    return subset_stats(conds, idx, n, k)
+    solver = SurvivorSolver(build_generator(kind, k, pts), kind, pts)
+    idx = subset_index(pts.size, k, samples, rng)
+    return subset_stats(solver.conds(idx, norm), idx, pts.size, k)
 
 
 def theorem_bound_value(n: int, s: int) -> float:
@@ -518,6 +519,6 @@ def gaussian_bound_trial(m: int, workers: int, trials: int, rng: Rng) -> tuple[i
     violations = 0
     for _ in range(trials):
         h = gaussian_matrix(rng, m, workers)
-        if float(_subset_conds(h, idx, "spectral").max()) > threshold:
+        if float(SurvivorSolver(h).conds(idx).max()) > threshold:
             violations += 1
     return violations, bound_prob

@@ -45,6 +45,8 @@ from .cheb_vandermonde import (
     GENERATOR_KINDS,
     SubsetStats,
     SurvivorSolver,
+    _index_side,
+    check_integer,
     check_survivors,
     subset_cond_stats,
     subset_index,
@@ -95,15 +97,8 @@ _SEEDS_PER_POINT = 5
 
 
 def _int(value, key: str) -> int:
-    """An integer: bools, strings and non-integral numbers (10.9, but not
-    10.0) are rejected rather than converted."""
-    fraction = isinstance(value, float) and not value.is_integer()
-    try:
-        if fraction or isinstance(value, (bool, np.bool_, str, bytes)):
-            raise TypeError
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"plan key {key!r} must be an integer, got {value!r}") from None
+    """An integer, by the rule of :func:`chebcoded.cheb_vandermonde.check_integer`."""
+    return check_integer(value, f"plan key {key!r}")
 
 
 def _list(item, size: int | None = None):
@@ -222,16 +217,17 @@ def _replay_errors(generator, recovery, all_evals, truth_blocks, idx, kind=None,
     entries = all_evals.shape[0]
     truth_norm = float(np.linalg.norm(truth_blocks))
     floats_per_subset = k * k + 2 * k * q + workers * q + 2 * entries * q
-    chunks = survivor_chunks(idx, workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS)
+    chunks = survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS)
     solver = SurvivorSolver(generator, kind, points)
     return np.concatenate(
-        [_replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, s) for s in chunks]
+        [_replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, r) for r in chunks]
     )
 
 
-def _replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, sel):
-    count = len(sel)
+def _replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, rows):
     workers = solver.generator.shape[1]
+    sel = _index_side(rows, workers, recovery.shape[0])  # the chunk's survivors
+    count = len(sel)
     weights = solver.weights(sel, recovery)
     scattered = np.zeros((count, workers, recovery.shape[1]))
     scattered[np.arange(count)[:, None], sel, :] = weights
@@ -284,7 +280,8 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     truth_norm = float(np.linalg.norm(truth))
     floats_per_subset = 2 * k * k + 3 * k * v + config.m * v
     errors = []
-    for sel in survivor_chunks(idx, config.workers, k, floats_per_subset, REPLAY_CHUNK_FLOATS):
+    for rows in survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS):
+        sel = _index_side(rows, config.workers, k)
         outs_r = outs[sel]
         folded = solver.fold(sel, outs_r)
         with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below

@@ -101,6 +101,11 @@ class TestCheckSurvivors:
             check_survivors((1, 4), 2, 3)
         with pytest.raises(ValueError, match="distinct"):
             check_survivors((2, 2), 2, 3)
+        # integral numbers are integers; anything else is rejected, not truncated
+        assert check_survivors([3.0, np.int64(1), np.float32(2.0)], 3, 5) == (1, 2, 3)
+        for bad in (1.5, 2.9, np.float32(2.5), True, np.True_, "2", None, math.nan):
+            with pytest.raises(ValueError, match="survivor index must be an integer"):
+                check_survivors([bad, 3, 4], 3, 5)
 
 
 class TestSubsetCondStats:
@@ -200,7 +205,7 @@ class TestSampling:
     def test_index_arrays_hold_the_smaller_side_in_survivor_order(self, n, size):
         lex = subset_index(n, size)
         assert lex.shape == (math.comb(n, size), min(size, n - size))
-        survivors = cheb_vandermonde._survivor_index(lex, n, size) + 1
+        survivors = cheb_vandermonde._index_side(lex, n, size) + 1
         assert [tuple(r) for r in survivors.tolist()] == list(iter_column_subsets(n, size))
 
     def test_covers_all_when_count_exceeds_total(self):
@@ -272,13 +277,13 @@ def _direct_conds(kind, n, k, idx, norm):
     """linalg.cond of the k x k survivor submatrices of the generator built
     at the grid points, one per row of a smaller-side index array."""
     gen = build_generator(kind, k, cheb_grid(n).points)
-    surv = cheb_vandermonde._survivor_index(idx, n, k)
+    surv = cheb_vandermonde._index_side(idx, n, k)
     return cond(gen.T[surv].transpose(0, 2, 1), norm)
 
 
 def _complement(kind, n, idx, norm):
     d0 = math.sqrt(2.0) if kind == "chebyshev" else 1.0
-    return cheb_vandermonde._complement_conds(cheb_vandermonde._grid_orthogonal(n), d0, idx, norm)
+    return cheb_vandermonde._complement_conds(cheb_vandermonde._grid_orthogonal(n).T[idx], d0, norm)
 
 
 def _plan_grid():
@@ -349,11 +354,11 @@ class TestComplementPath:
         erased = subset_index(n, n - s, 30, Rng(s))
         scale = np.ones(n - s)
         scale[0] = d0
-        survivors = cheb_vandermonde._survivor_index(erased, n, n - s)
+        survivors = cheb_vandermonde._index_side(erased, n, n - s)
         stack = (scale[:, None] * q[: n - s])[:, survivors].transpose(1, 0, 2)
         for norm in ("spectral", "frobenius"):
             want = cond(stack, norm)
-            got = cheb_vandermonde._complement_conds(q, d0, erased, norm)
+            got = cheb_vandermonde._complement_conds(q.T[erased], d0, norm)
             assert got == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
@@ -366,7 +371,7 @@ class TestComplementPath:
         def conds(c):
             sn = math.sqrt(1.0 - c * c)
             q = np.array([[1.0, 0.0, 0.0], [0.0, c, -sn], [0.0, sn, c]])
-            return cheb_vandermonde._complement_conds(q, 1.0, np.array([[2]]), norm)[0]
+            return cheb_vandermonde._complement_conds(q.T[np.array([[2]])], 1.0, norm)[0]
 
         edge = 2 * EPS  # k = 2
         above = conds(edge * 1.01)
@@ -381,7 +386,7 @@ class TestComplementPath:
         n, k = 10, 7
         stats = subset_cond_stats("chebyshev", k, cheb_grid(n).points, "spectral")
         lex = subset_index(n, k)
-        survivors = cheb_vandermonde._survivor_index(lex, n, k) + 1
+        survivors = cheb_vandermonde._index_side(lex, n, k) + 1
         conds = _complement("chebyshev", n, lex, "spectral")
         assert stats.worst_subset == tuple(survivors[int(np.argmax(conds))])
         assert stats.average == sum(conds.tolist()) / len(conds)

@@ -158,6 +158,11 @@ class TestDecode:
         with pytest.raises(ValueError):
             lagrange_decode(cfg, linear_map([1.0, 1.0]), (1, 2), np.ones((2, 1)))
 
+    def test_fractional_survivor_indices_rejected_not_truncated(self):
+        cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)
+        with pytest.raises(ValueError, match="survivor index must be an integer, got 2.5"):
+            lagrange_decode(cfg, linear_map([1.0, 1.0]), (1, 2.5, 3), np.ones((3, 1)))
+
     def test_wrong_output_shape_rejected(self):
         cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)
         with pytest.raises(ValueError, match=r"expected outputs of shape \(3, 1\)"):

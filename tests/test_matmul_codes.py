@@ -242,6 +242,13 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(cfg, (1, 1, 2), [outputs[0], outputs[0], outputs[1]])
 
+    def test_fractional_survivor_indices_rejected_not_truncated(self):
+        # truncated, [1.5, 2.5, 3.5] would decode workers 1-3
+        cfg = scheme_config("orthomatdot", 6, m=2)
+        outputs = [worker_compute(s) for s in encode(cfg, np.eye(4), np.eye(4))]
+        with pytest.raises(ValueError, match="survivor index must be an integer, got 1.5"):
+            decode(cfg, [1.5, 2.5, 3.5], outputs[:3])
+
     def test_survivors_must_match_outputs(self):
         cfg = scheme_config("orthomatdot", 6, m=2)
         outputs = [worker_compute(s) for s in encode(cfg, np.eye(4), np.eye(4))]

@@ -39,7 +39,8 @@ from chebcoded.sim_harness import (
 def _survivors(fault, workers, threshold):
     """The 1-based survivor sets of a fault model, in replay order."""
     idx = survivor_subsets(fault, workers, threshold)
-    (rows,) = survivor_chunks(idx, workers, threshold, 1, len(idx))
+    (rows,) = survivor_chunks(idx, 1, len(idx))
+    rows = cheb_vandermonde._index_side(rows, workers, threshold)
     return [tuple(row) for row in (rows + 1).tolist()]
 
 
@@ -367,7 +368,8 @@ class TestLaneIndependence:
         monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 4)  # 10 entry blocks
         errors = sim_harness._replay_errors(generator, recovery, all_evals, truth, idx)
 
-        (survivors,) = survivor_chunks(idx, workers, k, 1, len(idx))
+        (rows,) = survivor_chunks(idx, 1, len(idx))
+        survivors = cheb_vandermonde._index_side(rows, workers, k)
         singular = np.isin(survivors, 14).any(1) & np.isin(survivors, 15).any(1)
         inf = singular | np.isin(survivors, 1).any(1)
         assert singular.any() and not singular.all() and not inf.all()
@@ -634,7 +636,7 @@ class TestSweep:
 
     def test_cond_and_replay_rows_visit_the_same_subsets(self, monkeypatch):
         """A sampled cond row and a sampled matmul row with the same P,
-        threshold, samples and seed gather the same survivor chunks."""
+        threshold, samples and seed chunk the same subsets in the same order."""
         seen = {"cond": [], "replay": []}
         real = cheb_vandermonde.survivor_chunks
 
@@ -654,7 +656,10 @@ class TestSweep:
             dict(shared, scheme="matdot", dims=[8, 8, 8], metrics=["relerr_worst"]),
         ]
         assert [r.error for r in sweep(rows)] == ["", ""]
-        cond, replay = (np.concatenate(seen[path]) for path in ("cond", "replay"))
+        cond, replay = (
+            cheb_vandermonde._index_side(np.concatenate(seen[path]), 12, 9)
+            for path in ("cond", "replay")
+        )
         assert cond.shape == (40, 9) and len(np.unique(cond, axis=0)) == 40
         assert np.array_equal(cond, replay)
 

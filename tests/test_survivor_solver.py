@@ -139,15 +139,21 @@ def test_a_lane_solved_alone_equals_its_stack_lane_in_both_directions(name):
     shared = gaussian_matrix(rng, k, 2)
     per_lane = gaussian_matrix(rng, len(sel) * k, 2).reshape(len(sel), k, 2)
     weights, folded = solver.weights(sel, shared), solver.fold(sel, per_lane)
+    conds = {norm: solver.conds(sel, norm) for norm in ("spectral", "frobenius")}
     assert weights.shape == folded.shape == (len(sel), k, 2)
+    assert all(np.isfinite(c).all() and c.shape == (len(sel),) for c in conds.values())
     for lane in range(len(sel)):
         assert np.array_equal(solver.weights(sel[lane], shared), weights[lane])
         assert np.array_equal(solver.fold(sel[lane], per_lane[lane]), folded[lane])
         one = slice(lane, lane + 1)
         assert np.array_equal(solver.weights(sel[one], shared), weights[one])
         assert np.array_equal(solver.fold(sel[one], per_lane[one]), folded[one])
+        for norm, stacked in conds.items():
+            assert np.array_equal(solver.conds(sel[one], norm), stacked[one])
     assert np.array_equal(solver.weights(sel[2:5], shared), weights[2:5])
     assert np.array_equal(solver.fold(sel[2:5], per_lane[2:5]), folded[2:5])
+    for norm, stacked in conds.items():
+        assert np.array_equal(solver.conds(sel[2:5], norm), stacked[2:5])
 
 
 class TestSingularErasedColumns:
@@ -201,15 +207,16 @@ def test_no_erased_column_needs_no_solve(monkeypatch):
     assert sim_harness.relative_error(a @ b, decoded) < 1e-14
 
 
-@pytest.mark.parametrize(
-    "kind, n, k, points",
-    [
-        ("monomial", 12, 9, None),  # on the grid, but no orthogonal form
-        ("chebyshev", 12, 9, np.linspace(-0.9, 0.9, 12)),  # custom points
-        ("chebyshev_normalized", 12, 6, None),  # s = 6 >= k = 6
-        ("chebyshev", 12, 5, None),  # s = 7 > k = 5
-    ],
-)
+# (kind, n, k, points) of the generators that keep the gathered G_R
+OTHER_GENERATORS = [
+    ("monomial", 12, 9, None),  # on the grid, but no orthogonal form
+    ("chebyshev", 12, 9, np.linspace(-0.9, 0.9, 12)),  # custom points
+    ("chebyshev_normalized", 12, 6, None),  # s = 6 >= k = 6
+    ("chebyshev", 12, 5, None),  # s = 7 > k = 5
+]
+
+
+@pytest.mark.parametrize("kind, n, k, points", OTHER_GENERATORS)
 def test_other_generators_call_the_k_by_k_solve(monkeypatch, kind, n, k, points):
     points = cheb_grid(n).points if points is None else points
     generator = build_generator(kind, k, points)
@@ -229,6 +236,8 @@ def test_other_generators_call_the_k_by_k_solve(monkeypatch, kind, n, k, points)
     assert np.array_equal(solver.weights(sel, rhs), linalg.solve(stack, lanes))
     assert np.array_equal(solver.fold(sel, lanes), linalg.solve(generator.T[sel], lanes))
     assert np.array_equal(solver.weights(sel[0], rhs), linalg.solve(stack[0], rhs))
+    for norm in ("spectral", "frobenius"):  # one batched SVD, no solve
+        assert np.array_equal(solver.conds(sel, norm), linalg.cond(stack, norm))
     assert sizes == [(k, k)] * 3
 
 
@@ -236,14 +245,57 @@ def test_the_chebyshev_grid_calls_only_the_erased_column_solve(monkeypatch):
     n, k = 12, 9
     points = cheb_grid(n).points
     solver = SurvivorSolver(build_generator("chebyshev", k, points), "chebyshev", points)
-    sizes = []
+    sizes, gathers = [], []
 
     def recording_solve(a, rhs):
         sizes.append(np.shape(a)[-2:])
         return linalg.solve(a, rhs)
 
+    real_erased = SurvivorSolver._erased
+
+    def recording_erased(self, rows):
+        gathers.append(len(rows))
+        return real_erased(self, rows)
+
     monkeypatch.setattr(cheb_vandermonde, "solve", recording_solve)
+    monkeypatch.setattr(SurvivorSolver, "_erased", recording_erased)
+    monkeypatch.setattr(cheb_vandermonde, "cond", None)  # no SVD either
     sel = _subsets(n, k, 5)
     solver.weights(sel, np.ones((k, 1)))
     solver.fold(sel, np.ones((len(sel), k, 1)))
     assert sizes == [(3, 3)] * 4  # one solve and one refinement solve per direction
+    solver.conds(sel, "spectral")
+    solver.conds(sel, "frobenius")
+    assert sizes == [(3, 3)] * 6  # and one solve per condition sweep
+    assert gathers == [len(sel)] * 4  # each call gathers its erased columns once
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, points, kernel",
+    [
+        ("chebyshev", 12, 9, None, True),
+        ("chebyshev_normalized", 12, 9, None, True),
+        ("chebyshev", 7, 7, None, True),  # s = 0
+        ("chebyshev", 1, 1, None, True),  # s = 0, k = 1: D is a scalar
+        ("chebyshev", 8, 4, None, False),  # s = k
+        ("chebyshev_normalized", 9, 3, None, False),  # s > k
+        ("chebyshev", 12, 9, cheb_grid(12).points * 0.999, False),  # not the grid
+        *[case + (False,) for case in OTHER_GENERATORS],
+    ],
+)
+def test_the_sweep_takes_the_kernel_exactly_when_the_solver_does(
+    monkeypatch, kind, n, k, points, kernel
+):
+    """The one decision: subset_cond_stats conditions from the erased
+    columns exactly when the survivor solver of its generator solves from
+    them, and by the SVD of the gathered G_R otherwise."""
+    points = cheb_grid(n).points if points is None else points
+    assert (SurvivorSolver(build_generator(kind, k, points), kind, points).q is not None) == kernel
+    paths = []
+    real_kernel, real_cond = cheb_vandermonde._complement_conds, cheb_vandermonde.cond
+    monkeypatch.setattr(
+        cheb_vandermonde, "_complement_conds", lambda *a: paths.append("kernel") or real_kernel(*a)
+    )
+    monkeypatch.setattr(cheb_vandermonde, "cond", lambda *a: paths.append("svd") or real_cond(*a))
+    cheb_vandermonde.subset_cond_stats(kind, k, points, "frobenius")
+    assert paths and set(paths) == {"kernel" if kernel else "svd"}
