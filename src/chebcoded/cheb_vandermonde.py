@@ -16,13 +16,14 @@ the experiments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Rng, cond, gaussian_matrix, solve
+from .linalg import Rng, SingularMatrixError, cond, gaussian_matrix, solve
 from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
@@ -312,12 +313,20 @@ def _complement_conds(cols: np.ndarray, d0: float, norm: str) -> np.ndarray:
     return np.where(singular, np.inf, value)
 
 
-def _solve_lanes(a, rhs, single: bool) -> np.ndarray:
-    """:func:`chebcoded.linalg.solve` of a stack, or of its one lane alone
-    (raising SingularMatrixError) when ``single``."""
-    if single:
-        return solve(a[0], rhs[0])[None]
-    return solve(a, rhs)
+def _lanes(solve_stack):
+    """A :class:`SurvivorSolver` method of a (count, k) ``sel`` that takes a
+    (k,) one as a one-lane stack: the one place a singular decode raises."""
+    @functools.wraps(solve_stack)
+    def solve_lanes(self, sel, rhs):
+        sel = np.asarray(sel)
+        if sel.ndim == 2:
+            return solve_stack(self, sel, rhs)
+        x = solve_stack(self, sel[None], rhs)[0]
+        if np.isnan(x).any():
+            raise SingularMatrixError(f"singular decode for survivors {(sel + 1).tolist()}")
+        return x
+
+    return solve_lanes
 
 
 class SurvivorSolver:
@@ -327,11 +336,12 @@ class SurvivorSolver:
     v with G_R^T v = rhs (the folded Lagrange fusion), and :meth:`conds`
     the condition numbers of G_R (the condition sweep).
 
-    ``sel`` holds the sorted 0-based survivors R: (k,) for one solve, which
-    raises SingularMatrixError when singular, or (count, k) for a stack,
-    whose singular lanes read NaN.  Every lane is solved on its own, with
-    products of one shape whatever the stack holds, so a lane solved alone
-    gives the same bits as inside a stack.
+    ``sel`` holds the sorted 0-based survivors R: (count, k) for a stack,
+    whose singular lanes read NaN, or (k,) for one decode, solved as a
+    one-lane stack by the same code, which raises SingularMatrixError
+    naming the survivors when its lane reads NaN.  Every lane is solved on
+    its own, with products of one shape whatever the stack holds, so a
+    lane gives the same bits in any stack.
 
     The constructor alone picks the path, once.  A generator of a
     Chebyshev kind on its own grid with s = n - k < k (``kind`` and
@@ -368,39 +378,37 @@ class SurvivorSolver:
         self._scale = np.full((k, 1), math.sqrt(n / 2.0))  # c D, as a column
         self._scale[0] *= self._d0
 
+    @_lanes
     def weights(self, sel, rhs) -> np.ndarray:
         """W with G_R W = ``rhs``, one (k, q) right-hand side for every lane."""
-        sel = np.asarray(sel)
         if self.q is None:
             rhs_lanes = np.broadcast_to(rhs, sel.shape[:-1] + rhs.shape)
             # [..., i, j] = generator[i, sel[..., j]], passed as a temporary
             # so that solve can free it once copied
             return solve(self.generator.T[sel].swapaxes(-1, -2), rhs_lanes)
-        single, sel = sel.ndim == 1, np.atleast_2d(sel)
         lanes, erased, cols = self._erased(sel)
         qk = self.q[: sel.shape[1]].T
         z = qk @ (rhs / self._scale)  # Q[:k]^T D^-1 rhs / c, once for every lane
         with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
-            w = self._inverse(np.broadcast_to(z, (len(sel),) + z.shape), sel, erased, cols, single)
+            w = self._inverse(np.broadcast_to(z, (len(sel),) + z.shape), sel, erased, cols)
             scattered = np.zeros((len(sel),) + z.shape)
             scattered[lanes, sel] = w
             resid = rhs - np.matmul(self.generator, scattered)  # G_R W, zeros off R
-            w += self._inverse(np.matmul(qk, resid / self._scale), sel, erased, cols, single)
-        return w[0] if single else w
+            w += self._inverse(np.matmul(qk, resid / self._scale), sel, erased, cols)
+        return w
 
+    @_lanes
     def fold(self, sel, rhs) -> np.ndarray:
         """v with G_R^T v = ``rhs``: (k, v) for one solve, (count, k, v) for a stack."""
-        sel = np.asarray(sel)
+        rhs = np.asarray(rhs, dtype=np.float64).reshape(sel.shape + (-1,))
         if self.q is None:
             return solve(self.generator.T[sel], rhs)  # G_R^T[..., j, i] = generator[i, sel[..., j]]
-        single, sel = sel.ndim == 1, np.atleast_2d(sel)
-        rhs = np.asarray(rhs, dtype=np.float64).reshape(sel.shape + (-1,))
         lanes, _, cols = self._erased(sel)
         with np.errstate(all="ignore"):  # singular or overflowing lanes carry NaN or inf
-            v = self._inverse_transposed(rhs, sel, cols, single)
+            v = self._inverse_transposed(rhs, sel, cols)
             resid = rhs - np.matmul(self.generator.T, v)[lanes, sel]  # G_R^T v
-            v += self._inverse_transposed(resid, sel, cols, single)
-        return v[0] if single else v
+            v += self._inverse_transposed(resid, sel, cols)
+        return v
 
     def conds(self, rows, norm: str = "spectral") -> np.ndarray:
         """Condition numbers of G_R in ``norm``, the infinity sentinel when
@@ -428,17 +436,17 @@ class SurvivorSolver:
         erased = _index_side(rows, n, n - self.generator.shape[0])
         return np.arange(len(rows))[:, None], erased, self.q.T[erased]
 
-    def _inverse(self, z, sel, erased, cols, single):
+    def _inverse(self, z, sel, erased, cols):
         """Q11^-1 y per lane from z = Q[:k]^T y: z[R] - Q21^T u, Q22^T u = z[R^c]."""
         lanes = np.arange(len(sel))[:, None]
         w = z[lanes, sel]
         if erased.shape[1]:
             k = sel.shape[1]
-            u = _solve_lanes(cols[:, :, k:], z[lanes, erased], single)  # cols[:, :, k:] is Q22^T
+            u = solve(cols[:, :, k:], z[lanes, erased])  # cols[:, :, k:] is Q22^T
             w -= np.matmul(self.q[k:].T, u)[lanes, sel]
         return w
 
-    def _inverse_transposed(self, b, sel, cols, single):
+    def _inverse_transposed(self, b, sel, cols):
         """(c D)^-1 Q11^-T b per lane: Q11 b - Q12 t with Q22 t = Q21 b, where
         Q11 b over Q21 b is Q times b scattered to the survivor rows."""
         k = sel.shape[1]
@@ -447,7 +455,7 @@ class SurvivorSolver:
         h = np.matmul(self.q, scattered)
         x = h[:, :k]
         if cols.shape[1]:
-            t = _solve_lanes(cols[:, :, k:].transpose(0, 2, 1), h[:, k:], single)  # Q22
+            t = solve(cols[:, :, k:].transpose(0, 2, 1), h[:, k:])  # Q22
             x = x - np.matmul(cols[:, :, :k].transpose(0, 2, 1), t)
         return x / self._scale
 

@@ -15,7 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cheb_vandermonde import SurvivorSolver, build_generator, check_survivors, evaluation_points
+from .cheb_vandermonde import (
+    SurvivorSolver, build_generator, check_integer, check_survivors, evaluation_points,
+)
 from .linalg import as_matrix
 
 __all__ = [
@@ -38,7 +40,8 @@ class LagrangeConfig:
     """m data points, P workers, input dimension, and the (caller-known)
     total degree of the worker map, which fixes the recovery threshold
     K = (m-1)*deg_f + 1.  ``points`` must be distinct reals in [-1, 1],
-    one per worker; omitted means cheb_grid(workers)."""
+    one per worker; omitted means cheb_grid(workers).  Counts are stored
+    as ints (``check_integer``)."""
 
     m: int
     workers: int
@@ -47,6 +50,8 @@ class LagrangeConfig:
     points: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("m", "workers", "dim", "deg_f"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.m < 1:
             raise ValueError(f"need at least one data point, got m={self.m}")
         if self.dim < 1:
@@ -155,13 +160,14 @@ def lagrange_decode(
     estimates come from :func:`anchor_estimates`.  Returns an (m, out_dim)
     array of estimates; a singular solve raises SingularMatrixError.
     """
-    surv = check_survivors(survivors, config.threshold, config.workers)
+    given = tuple(survivors)  # read once: ``survivors`` may be an iterator
+    surv = check_survivors(given, config.threshold, config.workers)
     outs = as_matrix(outputs)
     if outs.shape != (config.threshold, f.out_dim):
         raise ValueError(
             f"expected outputs of shape {(config.threshold, f.out_dim)}, got {outs.shape}"
         )
-    order = np.argsort([int(s) for s in survivors], kind="stable")
+    order = np.argsort([int(s) for s in given], kind="stable")
     outs = outs[order]
 
     solver = decode_solver(config, basis)

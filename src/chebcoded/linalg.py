@@ -38,15 +38,9 @@ SOLVE_BLOCK = 8
 
 
 class SingularMatrixError(ValueError):
-    """Raised when Gaussian elimination meets a pivot too small to trust."""
-
-    def __init__(self, pivot_index: int, pivot: float, threshold: float):
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-        super().__init__(
-            f"singular matrix: pivot {pivot:.3e} at elimination step {pivot_index} "
-            f"(threshold {SINGULAR_PIVOT_RTOL:.0e} * ||a||_F = {threshold:.3e})"
-        )
+    """A solve met a matrix too close to singular to trust; the message
+    says which (the elimination step and pivot of a single ``solve``, the
+    survivors of a decode)."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -126,8 +120,11 @@ def solve(a, rhs) -> np.ndarray:
     if single:
         if not ok[0]:
             step = int(np.argmin(passed[:, 0]))  # the first failed step; 0 for a zero matrix
-            threshold = float(amax[0] * unit_threshold[0])
-            raise SingularMatrixError(step, float(pivots[step, 0]), threshold)
+            raise SingularMatrixError(
+                f"singular matrix: pivot {pivots[step, 0]:.3e} at elimination step {step} "
+                f"(threshold {SINGULAR_PIVOT_RTOL:.0e} * ||a||_F = "
+                f"{amax[0] * unit_threshold[0]:.3e})"
+            )
         return x[0, :, 0] if vector else x[0]
     x[~ok] = np.nan
     return x

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cheb_vandermonde import SurvivorSolver, build_generator, check_survivors, evaluation_points
+from .cheb_vandermonde import (
+    SurvivorSolver, build_generator, check_integer, check_survivors, evaluation_points,
+)
 from .linalg import as_matrix, invert, matmul
 from .poly_basis import cheb_grid, chebyshev_values
 
@@ -79,7 +81,7 @@ class SchemeConfig:
 
     A family takes exactly the splits its ``_GRID`` entry names.
     ``points`` must be distinct reals in [-1, 1], one per worker; omitted
-    means cheb_grid(workers).
+    means cheb_grid(workers).  Counts are stored as ints (``check_integer``).
     """
 
     family: str
@@ -94,6 +96,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        object.__setattr__(self, "workers", check_integer(self.workers, "worker count"))
         if self.workers < 1:
             raise ValueError(f"worker count must be positive, got {self.workers}")
         needed = [name for name in _GRID[self.family] if name]
@@ -101,8 +104,10 @@ class SchemeConfig:
             value = getattr(self, name)
             if name not in needed and value is not None:
                 raise ValueError(f"{self.family} takes no split {name}, only {', '.join(needed)}")
-            if name in needed and (value is None or value < 1):
+            if name in needed and (value is None or check_integer(value, f"split {name}") < 1):
                 raise ValueError(f"{self.family} needs positive split count {name}, got {value}")
+            if value is not None:
+                object.__setattr__(self, name, int(value))
         object.__setattr__(self, "points", evaluation_points(self.workers, self.points))
         k = recovery_threshold(self)
         if self.workers < k:
@@ -293,13 +298,15 @@ class DecodeOperator:
     ``generator`` (K x P) holds the interpolation basis at all worker
     points, built by :func:`chebcoded.cheb_vandermonde.build_generator` as
     ``kind``; ``recovery`` (K x q) maps an interpolated coefficient vector
-    to the q output block values of one matrix entry.
+    to the q output block values of one matrix entry; ``solver``, the
+    generator's SurvivorSolver, serves :func:`decode` and the replay alike.
     """
 
     threshold: int
     generator: np.ndarray
     recovery: np.ndarray
     kind: str
+    solver: SurvivorSolver
 
 
 def decode_operator(config: SchemeConfig) -> DecodeOperator:
@@ -331,7 +338,7 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
                 # coefficient is C/4 instead of C/2
                 rec[idx, l * config.m1 + i] = 4.0 if idx == 0 else 2.0
     gen = build_generator(kind, k, config.points)
-    return DecodeOperator(k, gen, rec, kind)
+    return DecodeOperator(k, gen, rec, kind, SurvivorSolver(gen, kind, config.points))
 
 
 def assemble_blocks(config: SchemeConfig, blocks: np.ndarray, block_shape) -> np.ndarray:
@@ -357,18 +364,18 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     """Recover the full product from threshold-many worker outputs.
 
     Survivor/output pairs are sorted canonically first, so any input
-    ordering produces a bitwise identical result.  The family's recovery
-    map is folded into one solve against the survivor submatrix G_R,
-    G_R W = recovery (K x q), by
-    :class:`~chebcoded.cheb_vandermonde.SurvivorSolver`: from the erased
-    columns for a Chebyshev generator on its own grid, by the blocked LU
-    otherwise; a singular G_R raises SingularMatrixError.  Every output
-    entry's block values are then its survivor evaluations times W, one
-    GEMM per range of _DECODE_CHUNK entries (no K x entries copy of the
-    whole product), and assembled into the N1 x N3 product.
+    ordering produces a bitwise identical result; worker and survivor
+    indices must be integers.  The family's recovery map is folded into
+    one solve G_R W = recovery (K x q) by the operator's solver (from the
+    erased columns for a Chebyshev generator on its own grid, by the
+    blocked LU otherwise); a singular G_R raises SingularMatrixError,
+    naming the survivors.  Every output entry's block values are then its
+    survivor evaluations times W, one GEMM per range of _DECODE_CHUNK
+    entries (no K x entries copy of the whole product), and assembled
+    into the N1 x N3 product.
     """
     surv = check_survivors(survivors, recovery_threshold(config), config.workers)
-    by_index = {int(o.worker_index): o for o in outputs}
+    by_index = {check_integer(o.worker_index, "worker index"): o for o in outputs}
     if len(by_index) != len(outputs) or set(by_index) != set(surv):
         raise ValueError("outputs must carry exactly one result per survivor index")
     products = [as_matrix(by_index[s].product) for s in surv]
@@ -379,8 +386,7 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     flat = [p.ravel() for p in products]
 
     op = decode_operator(config)
-    solver = SurvivorSolver(op.generator, op.kind, config.points)
-    weights = solver.weights(np.asarray(surv, dtype=np.int64) - 1, op.recovery)
+    weights = op.solver.weights(np.asarray(surv, dtype=np.int64) - 1, op.recovery)
     blocks = np.empty((weights.shape[1], flat[0].size))  # (q, entries)
     for lo in range(0, flat[0].size, _DECODE_CHUNK):
         hi = lo + _DECODE_CHUNK

@@ -32,6 +32,7 @@ byte-deterministically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -44,7 +45,6 @@ from . import lagrange_codes, matmul_codes
 from .cheb_vandermonde import (
     GENERATOR_KINDS,
     SubsetStats,
-    SurvivorSolver,
     _index_side,
     check_integer,
     check_survivors,
@@ -191,61 +191,45 @@ def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> np.ndar
     return subset_index(workers, threshold, samples, Rng(fault.seed or 0))
 
 
-def _replay_errors(generator, recovery, all_evals, truth_blocks, idx, kind=None, points=None):
-    """Relative errors of the folded fusion map, one per row of the index
-    array ``idx``.
-
-    For survivors R the estimate of every output entry is its eval row
-    times the weights W_R = G_R^{-1} @ recovery; the weights are scattered
-    back so the precomputed eval table can be reused unchanged.  Subsets
-    are replayed in the chunks of :func:`chebcoded.cheb_vandermonde.survivor_chunks`:
-    one stacked solve of the
-    :class:`~chebcoded.cheb_vandermonde.SurvivorSolver` of ``generator``,
-    ``kind`` and ``points`` gives the weights of the whole chunk (the
-    blocked LU without a kind).  The eval table is then read one
-    cache-sized entry block (``REPLAY_BLOCK_FLOATS``) at a time: each
-    subset takes its own product against the block, the truth is
-    subtracted in place, and the squares are added to the subset's
-    running sum.
-    Singular lanes (NaN weights) and overflowing ones report the infinity
-    sentinel.  A lane's products have the same shapes whatever its chunk
-    holds (one GEMM over the chunk would round by the chunk's width), so
-    its value depends on neither the chunk size nor the other subsets.
-    """
-    workers = generator.shape[1]
-    k, q = recovery.shape
-    entries = all_evals.shape[0]
-    truth_norm = float(np.linalg.norm(truth_blocks))
-    floats_per_subset = k * k + 2 * k * q + workers * q + 2 * entries * q
-    chunks = survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS)
-    solver = SurvivorSolver(generator, kind, points)
-    return np.concatenate(
-        [_replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, r) for r in chunks]
-    )
+def _replay(idx, workers: int, k: int, floats_per_subset: int, chunk_errors) -> SubsetStats:
+    """The one replay loop of both trials: each chunk of ``idx`` that
+    :func:`chebcoded.cheb_vandermonde.survivor_chunks` yields becomes its
+    (count, k) survivors ``sel``, ``chunk_errors(sel)`` their errors, a
+    non-finite one (singular or overflowing) the infinity sentinel, and
+    :func:`chebcoded.cheb_vandermonde.subset_stats` reduces them."""
+    errors = []
+    for rows in survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS):
+        with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
+            errs = chunk_errors(_index_side(rows, workers, k))
+        errors.append(np.where(np.isfinite(errs), errs, np.inf))
+    return subset_stats(np.concatenate(errors), idx, workers, k)
 
 
-def _replay_chunk(solver, recovery, all_evals, truth_blocks, truth_norm, rows):
-    workers = solver.generator.shape[1]
-    sel = _index_side(rows, workers, recovery.shape[0])  # the chunk's survivors
-    count = len(sel)
-    weights = solver.weights(sel, recovery)
+def _matmul_errors(solver, recovery, all_evals, truth_blocks, truth_norm, sel) -> np.ndarray:
+    """Relative errors of the folded fusion map, one per survivor row of
+    ``sel``: an output entry's estimate is its eval row times the weights
+    W_R = G_R^{-1} @ recovery of one stacked ``solver.weights``, scattered
+    back over all workers.  The eval table is read one cache-sized entry
+    block (``REPLAY_BLOCK_FLOATS``) at a time, each subset taking its own
+    product against it, so a lane's products have the same shapes whatever
+    its chunk holds and its value depends on no other subset."""
+    count, workers = len(sel), solver.generator.shape[1]
     scattered = np.zeros((count, workers, recovery.shape[1]))
-    scattered[np.arange(count)[:, None], sel, :] = weights
+    scattered[np.arange(count)[:, None], sel, :] = solver.weights(sel, recovery)
     rows = max(1, REPLAY_BLOCK_FLOATS // workers)
     squares = np.zeros(count)
-    with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
-        for lo in range(0, all_evals.shape[0], rows):
-            diffs = np.matmul(all_evals[None, lo : lo + rows], scattered)
-            diffs -= truth_blocks[None, lo : lo + rows]
-            squares += np.square(diffs, out=diffs).reshape(count, -1).sum(axis=1)
-        errs = np.sqrt(squares) / truth_norm
-    return np.where(np.isfinite(errs), errs, np.inf)
+    for lo in range(0, all_evals.shape[0], rows):
+        diffs = np.matmul(all_evals[None, lo : lo + rows], scattered)
+        diffs -= truth_blocks[None, lo : lo + rows]
+        squares += np.square(diffs, out=diffs).reshape(count, -1).sum(axis=1)
+    return np.sqrt(squares) / truth_norm
 
 
 def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
     """Full matmul-code trial: list the survivor subsets (so that an
     over-budget fault fails before any work), encode, run all workers,
-    replay erasures."""
+    replay erasures with the decoder's solver
+    (:class:`chebcoded.matmul_codes.DecodeOperator`)."""
     a = as_matrix(a)
     b = as_matrix(b)
     op = matmul_codes.decode_operator(config)
@@ -254,17 +238,17 @@ def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
     outputs = [matmul_codes.worker_compute(s) for s in shards]
     all_evals = np.stack([o.product.ravel() for o in outputs], axis=1)
     truth_blocks = matmul_codes.truth_block_table(config, matmul(a, b))
-    errors = _replay_errors(
-        op.generator, op.recovery, all_evals, truth_blocks, idx, op.kind, config.points
-    )
-    return subset_stats(errors, idx, config.workers, op.threshold)
+    truth_norm = float(np.linalg.norm(truth_blocks))
+    (k, q), entries = op.recovery.shape, all_evals.shape[0]
+    cost = k * k + 2 * k * q + config.workers * q + 2 * entries * q  # floats per subset
+    args = op.solver, op.recovery, all_evals, truth_blocks, truth_norm
+    return _replay(idx, config.workers, k, cost, functools.partial(_matmul_errors, *args))
 
 
 def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> SubsetStats:
     """Lagrange-coding trial; truth is f applied to the raw data points.
     The survivor subsets are listed first, as in :func:`run_trial`.  Each
-    chunk of :func:`chebcoded.cheb_vandermonde.survivor_chunks` takes one
-    stacked solve G_R^T v_R = outputs_R of
+    replayed chunk takes one stacked solve G_R^T v_R = outputs_R of
     :func:`chebcoded.lagrange_codes.decode_solver` (a right-hand side per
     output component, not per anchor) and the estimates of
     :func:`chebcoded.lagrange_codes.anchor_estimates`.  A lane whose v_R is
@@ -278,18 +262,15 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     anchors = solver.generator[:, : config.m]
     k, v = config.threshold, outs.shape[1]
     truth_norm = float(np.linalg.norm(truth))
-    floats_per_subset = 2 * k * k + 3 * k * v + config.m * v
-    errors = []
-    for rows in survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS):
-        sel = _index_side(rows, config.workers, k)
+
+    def errors(sel):
         outs_r = outs[sel]
         folded = solver.fold(sel, outs_r)
-        with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
-            diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs_r) - truth
-            errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
-        finite = np.isfinite(errs) & np.isfinite(folded).all(axis=(1, 2))
-        errors.append(np.where(finite, errs, np.inf))
-    return subset_stats(np.concatenate(errors), idx, config.workers, k)
+        diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs_r) - truth
+        errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
+        return np.where(np.isfinite(folded).all(axis=(1, 2)), errs, np.inf)
+
+    return _replay(idx, config.workers, k, 2 * k * k + 3 * k * v + config.m * v, errors)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=text):
             LagrangeConfig(**{"m": 2, "workers": 5, "dim": 3, "deg_f": 1, **fields})
 
+    @pytest.mark.parametrize("name", ["m", "workers", "dim", "deg_f"])
+    @pytest.mark.parametrize("bad", [1.5, True, "3", None])
+    def test_non_integer_counts_rejected_not_truncated(self, name, bad):
+        # deg_f = 1.5 used to give threshold 4.0, and True passed as 1
+        fields = {"m": 3, "workers": 6, "dim": 2, "deg_f": 1, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            LagrangeConfig(**fields)
+
+    def test_integral_floats_are_stored_as_ints(self):
+        cfg = LagrangeConfig(m=3.0, workers=np.int64(6), dim=2.0, deg_f=np.float32(2.0))
+        assert [type(v) for v in (cfg.m, cfg.workers, cfg.dim, cfg.deg_f)] == [int] * 4
+        assert (cfg.m, cfg.workers, cfg.dim, cfg.deg_f, cfg.threshold) == (3, 6, 2, 2, 5)
+        assert type(cfg.threshold) is int
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
     def test_points_outside_the_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
@@ -152,6 +166,18 @@ class TestDecode:
         a = lagrange_decode(cfg, f, (2, 5, 6), outs[[1, 4, 5]])
         b = lagrange_decode(cfg, f, (6, 2, 5), outs[[5, 1, 4]])
         assert np.array_equal(a, b)
+
+    def test_an_iterator_list_or_tuple_of_survivors_decodes_alike(self):
+        # the survivors are read once: an iterator is not exhausted by the check
+        cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)
+        rng = Rng(14)
+        data = gaussian_matrix(rng, 3, 2)
+        f = linear_map(rng.normals(2))
+        outs = worker_outputs(cfg, f, lagrange_encode(cfg, data))[[4, 1, 2]]
+        want = lagrange_decode(cfg, f, (5, 2, 3), outs)
+        assert np.array_equal(lagrange_decode(cfg, f, [5, 2, 3], outs), want)
+        assert np.array_equal(lagrange_decode(cfg, f, iter((5, 2, 3)), outs), want)
+        assert np.array_equal(lagrange_decode(cfg, f, (s for s in (5, 2, 3)), outs), want)
 
     def test_wrong_survivor_count_rejected(self):
         cfg = LagrangeConfig(m=3, workers=6, dim=2, deg_f=1)

@@ -65,21 +65,18 @@ class TestSolve:
         assert x == pytest.approx(np.array([[1.0], [2.0]]))
 
     def test_rank_deficient_raises(self):
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"at elimination step 1 \("):
             solve(np.ones((2, 2)), np.ones((2, 1)))
-        assert info.value.pivot_index == 1
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"pivot 0\.000e\+00 at elimination step 0 \("):
             solve(np.zeros((3, 3)), np.ones(3))
-        assert info.value.pivot_index == 0
 
     def test_reports_the_first_failing_step(self):
         # steps 1 and 3 meet zero pivots, step 2 does not
         a = np.array([[1.0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"pivot 0\.000e\+00 at elimination step 1 \("):
             solve(a, np.ones(4))
-        assert info.value.pivot_index == 1 and info.value.pivot == 0.0
 
     def test_vector_rhs(self):
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
@@ -177,9 +174,9 @@ class TestSolveBlocked:
         upper = np.triu(gaussian_matrix(rng, k, k)) + 2.0 * np.eye(k)
         upper[step, step] = 0.0
         shuffled = upper[np.argsort(rng.uniforms(k))]
-        with pytest.raises(SingularMatrixError) as info:
+        first_failure = rf"pivot 0\.000e\+00 at elimination step {step} \("
+        with pytest.raises(SingularMatrixError, match=first_failure):
             solve(shuffled, np.ones(k))
-        assert info.value.pivot_index == step and info.value.pivot == 0.0
         lanes = solve(np.stack([shuffled, upper]), np.ones((2, k, 1)))
         assert np.isnan(lanes).all()
 
@@ -222,9 +219,8 @@ class TestSolveBlocked:
         assert close(got[0, :, 0], np.ones(2) / s)
         assert np.isnan(got[1]).all()
         assert close(got[2, :, 0], np.array([1.0, 1e13]) / s)
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"at elimination step 1 \("):
             solve(np.diag([1.0, 1e-15]) * s, np.ones(2))
-        assert info.value.pivot_index == 1
 
 
 class TestInvert:

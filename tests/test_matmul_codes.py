@@ -93,6 +93,28 @@ class TestRecoveryThreshold:
         with pytest.raises(ValueError):
             scheme_config("orthomatdot", 4, m=3)
 
+    @pytest.mark.parametrize(
+        "family, counts",
+        [
+            ("matdot", {"workers": 6, "m": 2}),
+            ("polynomial", {"workers": 6, "m": 2, "n": 2}),
+            ("gen_orthomatdot", {"workers": 8, "m1": 2, "m2": 1, "m3": 2}),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    def test_non_integer_counts_rejected_not_truncated(self, family, counts, bad):
+        # m = 2.5 used to give matdot threshold 4.0, and True passed as 1
+        for name in counts:
+            what = "worker count" if name == "workers" else f"split {name}"
+            with pytest.raises(ValueError, match=f"{what} must be an integer, got {bad!r}"):
+                scheme_config(family, **{**counts, name: bad})
+
+    def test_integral_floats_are_stored_as_ints(self):
+        cfg = scheme_config("gen_orthomatdot", 8.0, m1=np.int64(2), m2=1.0, m3=np.float32(2.0))
+        counts = (cfg.workers, cfg.m1, cfg.m2, cfg.m3)
+        assert counts == (8, 2, 1, 2) and [type(v) for v in counts] == [int] * 4
+        assert type(recovery_threshold(cfg)) is int and recovery_threshold(cfg) == 5
+
 
 class TestEncode:
     def test_orthomatdot_single_block_shards(self):
@@ -248,6 +270,15 @@ class TestDecode:
         outputs = [worker_compute(s) for s in encode(cfg, np.eye(4), np.eye(4))]
         with pytest.raises(ValueError, match="survivor index must be an integer, got 1.5"):
             decode(cfg, [1.5, 2.5, 3.5], outputs[:3])
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_non_integer_worker_indices_rejected_not_truncated(self, bad):
+        # truncated, WorkerOutput(1.5, ...) decoded as worker 1
+        cfg = scheme_config("orthomatdot", 6, m=2)
+        outputs = [worker_compute(s) for s in encode(cfg, np.eye(4), np.eye(4))]
+        outputs[0] = WorkerOutput(bad, outputs[0].product)
+        with pytest.raises(ValueError, match=f"worker index must be an integer, got {bad!r}"):
+            decode(cfg, (1, 2, 3), outputs[:3])
 
     def test_survivors_must_match_outputs(self):
         cfg = scheme_config("orthomatdot", 6, m=2)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -366,22 +367,35 @@ class TestLaneIndependence:
         truth = gaussian_matrix(rng, entries, 2)
         idx = sim_harness.survivor_subsets(FaultModel(mode="exhaustive"), workers, k)
         monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 4)  # 10 entry blocks
-        errors = sim_harness._replay_errors(generator, recovery, all_evals, truth, idx)
+        values = []
 
+        def recording_stats(errors, *args):
+            values.append(errors)
+            return cheb_vandermonde.subset_stats(errors, *args)
+
+        monkeypatch.setattr(sim_harness, "subset_stats", recording_stats)
+        solver = cheb_vandermonde.SurvivorSolver(generator)  # the blocked LU
+        norm = float(np.linalg.norm(truth))
+        errors_of = partial(sim_harness._matmul_errors, solver, recovery, all_evals, truth, norm)
+
+        def replay(rows):  # the trials' one replay loop, all rows in one chunk
+            return sim_harness._replay(rows, workers, k, 1, errors_of)
+
+        stats = replay(idx)
+        (errors,) = values
         (rows,) = survivor_chunks(idx, 1, len(idx))
         survivors = cheb_vandermonde._index_side(rows, workers, k)
         singular = np.isin(survivors, 14).any(1) & np.isin(survivors, 15).any(1)
         inf = singular | np.isin(survivors, 1).any(1)
         assert singular.any() and not singular.all() and not inf.all()
         assert np.all(errors[inf] == math.inf) and np.isfinite(errors[~inf]).all()
+        assert stats.worst == math.inf
         lane = np.flatnonzero(~inf)[0]
         weights = linalg.solve(generator[:, survivors[lane]], recovery)
         direct = relative_error(truth, all_evals[:, survivors[lane]] @ weights)
         assert errors[lane] == pytest.approx(direct, rel=1e-12)
         for i, row in enumerate(idx):  # each lane replayed alone gives the same bits
-            one = idx[i : i + 1]
-            alone = sim_harness._replay_errors(generator, recovery, all_evals, truth, one)
-            assert alone[0] == errors[i], row
+            assert replay(idx[i : i + 1]).worst == errors[i], row
 
 
 class TestRecordsSerialization:

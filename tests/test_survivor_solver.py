@@ -3,6 +3,7 @@ their own grid against the blocked LU it replaces, and the cases that keep
 the LU."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -170,12 +171,14 @@ class TestSingularErasedColumns:
 
     def test_decoders_raise_and_the_replay_reads_inf(self):
         survivors = tuple(range(1, 22))
+        named = re.escape(f"singular decode for survivors {list(survivors)}")
         config = lagrange_codes.LagrangeConfig(m=21, workers=40, dim=3, deg_f=1)
         rng = Rng(21)
         data, f = gaussian_matrix(rng, 21, 3), lagrange_codes.linear_map(rng.normals(3))
         encoded = lagrange_codes.lagrange_encode(config, data)
         outs = lagrange_codes.worker_outputs(config, f, encoded)
-        with pytest.raises(SingularMatrixError):
+        assert lagrange_codes.decode_solver(config, "chebyshev").q is not None
+        with pytest.raises(SingularMatrixError, match=named):
             lagrange_codes.lagrange_decode(config, f, survivors, outs[:21])
         fixed = sim_harness.FaultModel(mode="fixed", subset=survivors)
         assert sim_harness.run_lagrange_trial(config, f, data, fixed).worst == math.inf
@@ -183,9 +186,37 @@ class TestSingularErasedColumns:
         config = matmul_codes.scheme_config("orthomatdot", 40, m=11)  # k = 21
         a, b = gaussian_matrix(rng, 6, 22), gaussian_matrix(rng, 22, 6)
         outputs = [matmul_codes.worker_compute(s) for s in matmul_codes.encode(config, a, b)]
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match=named):
             matmul_codes.decode(config, survivors, outputs[:21])
         assert sim_harness.run_trial(config, a, b, fixed).worst == math.inf
+
+
+def test_a_singular_lu_decode_raises_naming_the_survivors_and_its_replay_reads_inf():
+    """The blocked LU path: matdot at P = 80 with workers 1-3 erased
+    (k = 77), and the monomial Lagrange fold at P = 60 with the two coded
+    workers erased, fail the pivot test of their own k x k solve."""
+    config = matmul_codes.scheme_config("matdot", 80, m=39)
+    assert matmul_codes.decode_operator(config).solver.q is None
+    rng = Rng(80)
+    a, b = gaussian_matrix(rng, 2, 39), gaussian_matrix(rng, 39, 2)
+    outputs = [matmul_codes.worker_compute(s) for s in matmul_codes.encode(config, a, b)]
+    survivors = tuple(range(4, 81))
+    named = re.escape(f"singular decode for survivors {list(survivors)}")
+    with pytest.raises(SingularMatrixError, match=named):
+        matmul_codes.decode(config, survivors, outputs[3:])
+    fixed = sim_harness.FaultModel(mode="fixed", subset=survivors)
+    assert sim_harness.run_trial(config, a, b, fixed).worst == math.inf
+
+    config = lagrange_codes.LagrangeConfig(m=58, workers=60, dim=3, deg_f=1)
+    data, f = gaussian_matrix(rng, 58, 3), lagrange_codes.linear_map(rng.normals(3))
+    outs = lagrange_codes.worker_outputs(config, f, lagrange_codes.lagrange_encode(config, data))
+    survivors = tuple(range(1, 59))
+    named = re.escape(f"singular decode for survivors {list(survivors)}")
+    assert lagrange_codes.decode_solver(config, "monomial").q is None
+    with pytest.raises(SingularMatrixError, match=named):
+        lagrange_codes.lagrange_decode(config, f, survivors, outs[:58], "monomial")
+    fixed = sim_harness.FaultModel(mode="fixed", subset=survivors)
+    assert sim_harness.run_lagrange_trial(config, f, data, fixed, "monomial").worst == math.inf
 
 
 def test_no_erased_column_needs_no_solve(monkeypatch):
