@@ -375,6 +375,7 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     into the N1 x N3 product.
     """
     surv = check_survivors(survivors, recovery_threshold(config), config.workers)
+    outputs = tuple(outputs)  # read once: ``outputs`` may be an iterator
     by_index = {check_integer(o.worker_index, "worker index"): o for o in outputs}
     if len(by_index) != len(outputs) or set(by_index) != set(surv):
         raise ValueError("outputs must carry exactly one result per survivor index")

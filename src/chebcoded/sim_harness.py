@@ -11,9 +11,10 @@ a time and reduced to one worst/average result.  The matmul fusion
 weights, G_R W_R = recovery, come from the same solver call that
 :func:`chebcoded.matmul_codes.decode` makes, so they are bitwise the
 decoder's; only the estimate products differ in shape (one per subset
-and entry block of the eval table instead of one per decode).  The
-Lagrange replay folds the fusion onto the outputs instead: v_R solves
-G_R^T v_R = outputs_R in the solver call that
+and entry block of the eval table instead of one per decode).  A subset
+whose weights are not all finite (a singular G_R) reads ``inf`` without
+any estimate product.  The Lagrange replay folds the fusion onto the
+outputs instead: v_R solves G_R^T v_R = outputs_R in the solver call that
 :func:`chebcoded.lagrange_codes.lagrange_decode` makes, bitwise the
 decoder's; an erased anchor is estimated as its column of anchors^T @ v_R
 and a surviving one by its own output, in the decoder's
@@ -212,17 +213,27 @@ def _matmul_errors(solver, recovery, all_evals, truth_blocks, truth_norm, sel) -
     back over all workers.  The eval table is read one cache-sized entry
     block (``REPLAY_BLOCK_FLOATS``) at a time, each subset taking its own
     product against it, so a lane's products have the same shapes whatever
-    its chunk holds and its value depends on no other subset."""
-    count, workers = len(sel), solver.generator.shape[1]
+    its chunk holds and its value depends on no other subset.  Only the
+    live lanes, whose weights are all finite, are scattered and take
+    products; every other lane (NaN or inf weights, as a singular G_R
+    gives) reads ``inf`` without an estimate product, so a chunk with no
+    live lane reads none of the table."""
+    weights = solver.weights(sel, recovery)
+    live = np.isfinite(weights).all(axis=(1, 2))
+    errors = np.full(len(sel), np.inf)
+    count, workers = np.count_nonzero(live), solver.generator.shape[1]
+    if not count:
+        return errors
     scattered = np.zeros((count, workers, recovery.shape[1]))
-    scattered[np.arange(count)[:, None], sel, :] = solver.weights(sel, recovery)
+    scattered[np.arange(count)[:, None], sel[live], :] = weights[live]
     rows = max(1, REPLAY_BLOCK_FLOATS // workers)
     squares = np.zeros(count)
     for lo in range(0, all_evals.shape[0], rows):
         diffs = np.matmul(all_evals[None, lo : lo + rows], scattered)
         diffs -= truth_blocks[None, lo : lo + rows]
         squares += np.square(diffs, out=diffs).reshape(count, -1).sum(axis=1)
-    return np.sqrt(squares) / truth_norm
+    errors[live] = np.sqrt(squares) / truth_norm
+    return errors
 
 
 def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:

@@ -296,6 +296,15 @@ class TestDecode:
         with pytest.raises(ValueError, match=r"worker 2's product is \(3, 2\)"):
             decode(cfg, (1, 2, 3, 4), outputs)
 
+    def test_outputs_as_list_tuple_or_iterator_decode_alike(self):
+        cfg = scheme_config("orthomatdot", 6, m=2)
+        rng = Rng(3)
+        a, b = gaussian_matrix(rng, 4, 4), gaussian_matrix(rng, 4, 4)
+        outputs = [worker_compute(s) for s in encode(cfg, a, b)][:3]
+        listed = decode(cfg, (1, 2, 3), outputs)
+        assert np.array_equal(decode(cfg, (1, 2, 3), tuple(outputs)), listed)
+        assert np.array_equal(decode(cfg, (1, 2, 3), iter(outputs)), listed)
+
     def test_singular_submatrix_raises(self):
         from chebcoded.linalg import SingularMatrixError
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -354,6 +355,58 @@ class TestLaneIndependence:
         assert math.isfinite(every.worst) and every.worst > every.average
         assert alone.worst == every.worst
         assert alone.worst_subset == every.worst_subset
+
+    class _BlockReads(np.ndarray):
+        """An eval table that records the key of every block read off it."""
+
+        def __getitem__(self, key):
+            self.reads.append(key)
+            return np.asarray(super().__getitem__(key))
+
+    def _recording_table(self, rng, entries, workers):
+        table = gaussian_matrix(rng, entries, workers).view(self._BlockReads)
+        table.reads = []
+        return table
+
+    def test_singular_lanes_take_no_estimate_product(self):
+        # near-coincident points make every monomial survivor matrix singular
+        config = scheme_config("matdot", 7, m=2, points=np.linspace(0.0, 1e-13, 7))
+        op = matmul_codes.decode_operator(config)
+        rng = Rng(16)
+        evals = self._recording_table(rng, 30, 7)
+        truth = gaussian_matrix(rng, 30, 1)
+        sel = np.array(list(itertools.combinations(range(7), 3)))
+        errors = sim_harness._matmul_errors(
+            op.solver, op.recovery, evals, truth, float(np.linalg.norm(truth)), sel
+        )
+        assert np.all(errors == math.inf)
+        assert evals.reads == []
+
+    def test_live_lanes_of_a_mixed_chunk_equal_their_lanes_alone(self, monkeypatch):
+        workers, k, entries = 10, 7, 50
+        rng = Rng(17)
+        points = poly_basis.cheb_grid(workers).points
+        generator = cheb_vandermonde.build_generator("chebyshev", k, points)
+        generator[:, 9] = generator[:, 8]  # subsets holding workers 9 and 10 are singular
+        solver = cheb_vandermonde.SurvivorSolver(generator)  # the blocked LU
+        recovery = gaussian_matrix(rng, k, 2)
+        evals = self._recording_table(rng, entries, workers)
+        truth = gaussian_matrix(rng, entries, 2)
+        monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 8)  # 7 entry blocks
+        errors_of = partial(
+            sim_harness._matmul_errors, solver, recovery, evals, truth, float(np.linalg.norm(truth))
+        )
+        sel = np.array(list(itertools.combinations(range(workers), k)))
+        singular = np.isin(sel, 8).any(1) & np.isin(sel, 9).any(1)
+        assert singular.any() and not singular.all()
+        with np.errstate(all="ignore"):
+            errors = errors_of(sel)
+            assert np.all(errors[singular] == math.inf) and np.isfinite(errors[~singular]).all()
+            assert len(evals.reads) == 7  # one read a block for the whole chunk
+            for i in range(len(sel)):
+                evals.reads.clear()
+                assert errors_of(sel[i : i + 1])[0] == errors[i]  # bit for bit
+                assert len(evals.reads) == (0 if singular[i] else 7)
 
     def test_singular_and_overflowing_lanes_read_inf_over_several_blocks(self, monkeypatch):
         workers, k, entries = 16, 13, 40
