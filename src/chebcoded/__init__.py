@@ -6,7 +6,7 @@ baselines, and the experiment harness that measures decode conditioning
 and relative error.
 """
 
-from .linalg import Rng, SingularMatrixError, cond, gaussian_matrix, invert, matmul, solve
+from .linalg import Rng, SingularMatrixError, cond, gaussian_matrix, matmul, solve
 from .poly_basis import ChebyshevGrid, QuadratureRule, cheb_T, cheb_grid, quad_rule
 from .cheb_vandermonde import (
     BudgetExceededError,

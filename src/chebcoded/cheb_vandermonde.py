@@ -315,14 +315,15 @@ def _complement_conds(cols: np.ndarray, d0: float, norm: str) -> np.ndarray:
 
 def _lanes(solve_stack):
     """A :class:`SurvivorSolver` method of a (count, k) ``sel`` that takes a
-    (k,) one as a one-lane stack: the one place a singular decode raises."""
+    (k,) one as a one-lane stack: the one place a singular decode raises,
+    on the replay's predicate, a lane that is not all finite."""
     @functools.wraps(solve_stack)
     def solve_lanes(self, sel, rhs):
         sel = np.asarray(sel)
         if sel.ndim == 2:
             return solve_stack(self, sel, rhs)
         x = solve_stack(self, sel[None], rhs)[0]
-        if np.isnan(x).any():
+        if not np.isfinite(x).all():
             raise SingularMatrixError(f"singular decode for survivors {(sel + 1).tolist()}")
         return x
 
@@ -337,11 +338,11 @@ class SurvivorSolver:
     the condition numbers of G_R (the condition sweep).
 
     ``sel`` holds the sorted 0-based survivors R: (count, k) for a stack,
-    whose singular lanes read NaN, or (k,) for one decode, solved as a
-    one-lane stack by the same code, which raises SingularMatrixError
-    naming the survivors when its lane reads NaN.  Every lane is solved on
-    its own, with products of one shape whatever the stack holds, so a
-    lane gives the same bits in any stack.
+    whose singular lanes read NaN (and overflowing ones inf), or (k,) for
+    one decode, solved as a one-lane stack by the same code, which raises
+    SingularMatrixError naming the survivors when its lane is not all
+    finite.  Every lane is solved on its own, with products of one shape
+    whatever the stack holds, so a lane gives the same bits in any stack.
 
     The constructor alone picks the path, once.  A generator of a
     Chebyshev kind on its own grid with s = n - k < k (``kind`` and

@@ -158,7 +158,8 @@ def lagrange_decode(
     folded onto the output side: one solve G_R^T v = outputs (K x out_dim)
     by :func:`decode_solver`, the same v the harness replay computes; the
     estimates come from :func:`anchor_estimates`.  Returns an (m, out_dim)
-    array of estimates; a singular solve raises SingularMatrixError.
+    array of estimates; a singular or overflowing solve raises
+    SingularMatrixError.
     """
     given = tuple(survivors)  # read once: ``survivors`` may be an iterator
     surv = check_survivors(given, config.threshold, config.workers)

@@ -3,10 +3,11 @@ blocked LU whose trailing updates are stacked BLAS-3 products),
 spectral/Frobenius condition numbers (both from one batched LAPACK SVD)
 and a seeded counter-based Gaussian source.
 
-Matrices are plain 2-D float64 ndarrays (``solve`` and ``cond`` also take
-stacks of them), validated finite at the public entry points and treated
-as immutable once built.  ``Rng`` is the only stateful object here; it is
-single-owner.
+Matrices are plain 2-D float64 ndarrays (``solve`` takes only stacks of
+them, ``cond`` either), validated finite at the public entry points and
+treated as immutable once built.  A singular ``solve`` lane reads NaN;
+nothing here raises on singularity.  ``Rng`` is the only stateful object
+here; it is single-owner.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "as_matrix",
     "matmul",
     "solve",
-    "invert",
     "cond",
     "Rng",
     "gaussian_matrix",
@@ -38,9 +38,10 @@ SOLVE_BLOCK = 8
 
 
 class SingularMatrixError(ValueError):
-    """A solve met a matrix too close to singular to trust; the message
-    says which (the elimination step and pivot of a single ``solve``, the
-    survivors of a decode)."""
+    """A single decode met a survivor matrix too close to singular to
+    trust, or a solve that overflowed; the message names the survivors.
+    Raised by :class:`chebcoded.cheb_vandermonde.SurvivorSolver` alone,
+    when its one lane reads non-finite."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -62,32 +63,27 @@ def matmul(a, b) -> np.ndarray:
 
 
 def solve(a, rhs) -> np.ndarray:
-    """Solve a @ x = rhs by Gaussian elimination with partial pivoting.
+    """Solve every lane of a stack, a[i] @ x[i] = rhs[i], by Gaussian
+    elimination with partial pivoting.
 
-    ``a`` is one k x k matrix with a (k,) or (k, q) right-hand side, or a
-    ``(count, k, k)`` stack with a ``(count, k, q)`` right-hand side.  The
-    LU factorization is blocked and right-looking, like LAPACK's getrf:
-    each panel of SOLVE_BLOCK columns is eliminated one column at a time
-    (first-maximum pivot, full-row swap), and the rows to its right and
-    below take one stacked matrix product per panel; the right-hand side
-    is permuted once and substituted panel by panel.  Every lane is
-    eliminated on its own, so a matrix solved alone gives the same bits as
-    inside a stack.
+    ``a`` is a ``(count, k, k)`` stack and ``rhs`` a ``(count, k, q)``
+    one; one matrix is solved as a one-lane stack.  The LU factorization
+    is blocked and right-looking, like LAPACK's getrf: each panel of
+    SOLVE_BLOCK columns is eliminated one column at a time (first-maximum
+    pivot, full-row swap), and the rows to its right and below take one
+    stacked matrix product per panel; the right-hand side is permuted once
+    and substituted panel by panel.  Every lane is eliminated on its own,
+    so a lane gives the same bits in any stack.
 
-    A lane is singular when a pivot falls below SINGULAR_PIVOT_RTOL *
-    ||a||_F (an all-zero matrix always is).  The test is taken at unit
-    scale, |pivot| / max|a| >= SINGULAR_PIVOT_RTOL * ||a / max|a|||_F, so
+    A lane is singular when its smallest pivot falls below
+    SINGULAR_PIVOT_RTOL * ||a||_F (an all-zero matrix always is), and its
+    solution reads NaN.  The test is taken at unit scale,
+    min|pivot| / max|a| >= SINGULAR_PIVOT_RTOL * ||a / max|a|||_F, so
     nothing in it overflows for any finite a, nothing that decides it
-    underflows, and the rule is scale-invariant.  A single matrix raises
-    SingularMatrixError at the first such elimination step; a singular
-    stack lane reads NaN.
+    underflows, and the rule is scale-invariant.
     """
     a = np.asarray(a, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    shapes = f"{a.shape} and {rhs.shape}"
-    single, vector = a.ndim == 2, rhs.ndim == 1
-    if single:
-        a, rhs = a[None], rhs[None, :, None] if vector else rhs[None]
     if (
         a.ndim != 3
         or a.shape[1] != a.shape[2]
@@ -96,10 +92,10 @@ def solve(a, rhs) -> np.ndarray:
         or rhs.shape[:2] != a.shape[:2]
     ):
         raise ValueError(
-            f"need a k x k matrix or a (count, k, k) stack with a matching right-hand "
-            f"side, got shapes {shapes}"
+            f"need a (count, k, k) stack with a matching (count, k, q) right-hand side, "
+            f"got shapes {a.shape} and {rhs.shape}"
         )
-    count, k = a.shape[:2]
+    count = len(a)
     amax = np.maximum(a.max(axis=(1, 2)), -a.min(axis=(1, 2)))  # NaN or inf if any entry is
     if not np.isfinite(amax).all():
         raise ValueError("matrix entries must be finite")
@@ -111,21 +107,11 @@ def solve(a, rhs) -> np.ndarray:
         unit *= unit
         unit_threshold = SINGULAR_PIVOT_RTOL * np.sqrt(unit.reshape(count, -1).sum(axis=1))
         del unit
-        pivots, perm = _factor(lu)
-        passed = np.abs(pivots) / lane_max >= unit_threshold  # (k, count), per step
+        smallest, perm = _factor(lu)
+        ok = (amax > 0.0) & (smallest / lane_max >= unit_threshold)
         x = rhs[np.arange(count)[:, None], perm]  # the row swaps applied to a copy of rhs
         del rhs
         _substitute(lu, x)
-    ok = (amax > 0.0) & passed.all(axis=0)
-    if single:
-        if not ok[0]:
-            step = int(np.argmin(passed[:, 0]))  # the first failed step; 0 for a zero matrix
-            raise SingularMatrixError(
-                f"singular matrix: pivot {pivots[step, 0]:.3e} at elimination step {step} "
-                f"(threshold {SINGULAR_PIVOT_RTOL:.0e} * ||a||_F = "
-                f"{amax[0] * unit_threshold[0]:.3e})"
-            )
-        return x[0, :, 0] if vector else x[0]
     x[~ok] = np.nan
     return x
 
@@ -133,17 +119,17 @@ def solve(a, rhs) -> np.ndarray:
 def _factor(lu):
     """Blocked right-looking LU with partial pivoting, in place: P a = L U.
 
-    Returns each step's pivot, (k, count), and the row permutation P as
-    (count, k) indices."""
+    Returns each lane's smallest |pivot| (NaN if a pivot was), (count,),
+    and the row permutation P as (count, k) indices."""
     count, k = lu.shape[:2]
-    pivots = np.empty((k, count))
+    smallest = np.full(count, np.inf)
     perm = np.tile(np.arange(k), (count, 1))
     rows = np.arange(count)
     for start in range(0, k, SOLVE_BLOCK):
         stop = min(start + SOLVE_BLOCK, k)
         for col in range(start, stop):
             piv_idx = col + np.argmax(np.abs(lu[:, col:, col]), axis=1)
-            pivots[col] = lu[rows, piv_idx, col]
+            np.minimum(smallest, np.abs(lu[rows, piv_idx, col]), out=smallest)
             swap = lu[rows, col, :].copy()
             lu[rows, col, :] = lu[rows, piv_idx, :]
             lu[rows, piv_idx, :] = swap
@@ -156,7 +142,7 @@ def _factor(lu):
             )
         if stop < k:
             _apply_panel(lu, lu[:, :, stop:], start, stop)  # U12, then the trailing update
-    return pivots, perm
+    return smallest, perm
 
 
 def _apply_panel(lu, y, start, stop):
@@ -180,11 +166,6 @@ def _substitute(lu, x):
         for row in range(stop - 1, start - 1, -1):
             x[:, row] -= np.matmul(lu[:, row, None, row + 1 : stop], x[:, row + 1 : stop])[:, 0]
             x[:, row] /= np.where(np.abs(lu[:, row, row]) > 0.0, lu[:, row, row], 1.0)[:, None]
-
-
-def invert(a) -> np.ndarray:
-    a = as_matrix(a)
-    return solve(a, np.eye(a.shape[0]))
 
 
 def cond(a, norm: str = "spectral"):

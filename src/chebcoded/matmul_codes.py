@@ -32,7 +32,7 @@ import numpy as np
 from .cheb_vandermonde import (
     SurvivorSolver, build_generator, check_integer, check_survivors, evaluation_points,
 )
-from .linalg import as_matrix, invert, matmul
+from .linalg import as_matrix, matmul, solve
 from .poly_basis import cheb_grid, chebyshev_values
 
 __all__ = [
@@ -295,17 +295,15 @@ def build_h_map(m: int, n: int) -> np.ndarray:
 class DecodeOperator:
     """Linear pieces of a family's fusion step.
 
-    ``generator`` (K x P) holds the interpolation basis at all worker
-    points, built by :func:`chebcoded.cheb_vandermonde.build_generator` as
-    ``kind``; ``recovery`` (K x q) maps an interpolated coefficient vector
-    to the q output block values of one matrix entry; ``solver``, the
-    generator's SurvivorSolver, serves :func:`decode` and the replay alike.
+    ``recovery`` (K x q) maps an interpolated coefficient vector to the q
+    output block values of one matrix entry; ``solver`` holds the
+    generator (K x P, the interpolation basis at all worker points, built
+    by :func:`chebcoded.cheb_vandermonde.build_generator`) and serves
+    :func:`decode` and the replay alike.
     """
 
     threshold: int
-    generator: np.ndarray
     recovery: np.ndarray
-    kind: str
     solver: SurvivorSolver
 
 
@@ -326,7 +324,7 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
         rec = np.eye(k)
     elif config.family == "orthopoly":
         kind = "chebyshev"
-        rec = invert(build_h_map(config.m, config.n)).T
+        rec = solve(build_h_map(config.m, config.n)[None], np.eye(k)[None])[0].T  # H^-T
     else:
         kind = "chebyshev"
         rec = np.zeros((k, config.m1 * config.m3))
@@ -338,7 +336,7 @@ def decode_operator(config: SchemeConfig) -> DecodeOperator:
                 # coefficient is C/4 instead of C/2
                 rec[idx, l * config.m1 + i] = 4.0 if idx == 0 else 2.0
     gen = build_generator(kind, k, config.points)
-    return DecodeOperator(k, gen, rec, kind, SurvivorSolver(gen, kind, config.points))
+    return DecodeOperator(k, rec, SurvivorSolver(gen, kind, config.points))
 
 
 def assemble_blocks(config: SchemeConfig, blocks: np.ndarray, block_shape) -> np.ndarray:
@@ -368,11 +366,11 @@ def decode(config: SchemeConfig, survivors, outputs) -> np.ndarray:
     indices must be integers.  The family's recovery map is folded into
     one solve G_R W = recovery (K x q) by the operator's solver (from the
     erased columns for a Chebyshev generator on its own grid, by the
-    blocked LU otherwise); a singular G_R raises SingularMatrixError,
-    naming the survivors.  Every output entry's block values are then its
-    survivor evaluations times W, one GEMM per range of _DECODE_CHUNK
-    entries (no K x entries copy of the whole product), and assembled
-    into the N1 x N3 product.
+    blocked LU otherwise); a singular G_R, or weights that overflow,
+    raise SingularMatrixError, naming the survivors.  Every output entry's
+    block values are then its survivor evaluations times W, one GEMM per
+    range of _DECODE_CHUNK entries (no K x entries copy of the whole
+    product), and assembled into the N1 x N3 product.
     """
     surv = check_survivors(survivors, recovery_threshold(config), config.workers)
     outputs = tuple(outputs)  # read once: ``outputs`` may be an iterator

@@ -11,14 +11,15 @@ a time and reduced to one worst/average result.  The matmul fusion
 weights, G_R W_R = recovery, come from the same solver call that
 :func:`chebcoded.matmul_codes.decode` makes, so they are bitwise the
 decoder's; only the estimate products differ in shape (one per subset
-and entry block of the eval table instead of one per decode).  A subset
-whose weights are not all finite (a singular G_R) reads ``inf`` without
-any estimate product.  The Lagrange replay folds the fusion onto the
-outputs instead: v_R solves G_R^T v_R = outputs_R in the solver call that
+and entry block of the eval table instead of one per decode).  The
+Lagrange replay folds the fusion onto the outputs instead: v_R solves
+G_R^T v_R = outputs_R in the solver call that
 :func:`chebcoded.lagrange_codes.lagrange_decode` makes, bitwise the
 decoder's; an erased anchor is estimated as its column of anchors^T @ v_R
 and a surviving one by its own output, in the decoder's
-:func:`chebcoded.lagrange_codes.anchor_estimates`.
+:func:`chebcoded.lagrange_codes.anchor_estimates`.  In both, a subset
+whose solve is not all finite (a singular or overflowing G_R) reads
+``inf`` without any estimate, in the one replay loop both trials share.
 
 ``sweep`` turns plan rows into :class:`ExperimentRecord` values along
 one path.  :func:`parse_row` parses each row once against the schema
@@ -192,48 +193,48 @@ def survivor_subsets(fault: FaultModel, workers: int, threshold: int) -> np.ndar
     return subset_index(workers, threshold, samples, Rng(fault.seed or 0))
 
 
-def _replay(idx, workers: int, k: int, floats_per_subset: int, chunk_errors) -> SubsetStats:
-    """The one replay loop of both trials: each chunk of ``idx`` that
+def _replay(idx, workers: int, k: int, floats_per_subset: int, solve, errors) -> SubsetStats:
+    """The one replay loop of both trials, and the one place a lane reads
+    ``inf``: each chunk of ``idx`` that
     :func:`chebcoded.cheb_vandermonde.survivor_chunks` yields becomes its
-    (count, k) survivors ``sel``, ``chunk_errors(sel)`` their errors, a
-    non-finite one (singular or overflowing) the infinity sentinel, and
-    :func:`chebcoded.cheb_vandermonde.subset_stats` reduces them."""
-    errors = []
+    (count, k) survivors ``sel`` and takes one ``solve(sel)``, a
+    (count, k, q) stack.  Only its live lanes, all of whose entries are
+    finite, go to ``errors(sel, x)``; a lane that is not live (singular
+    or overflowing), or whose error is not finite, reads the infinity
+    sentinel, and a chunk with no live lane makes no ``errors`` call.
+    :func:`chebcoded.cheb_vandermonde.subset_stats` reduces the values."""
+    values = []
     for rows in survivor_chunks(idx, floats_per_subset, REPLAY_CHUNK_FLOATS):
-        with np.errstate(all="ignore"):  # NaN or overflowing lanes become inf below
-            errs = chunk_errors(_index_side(rows, workers, k))
-        errors.append(np.where(np.isfinite(errs), errs, np.inf))
-    return subset_stats(np.concatenate(errors), idx, workers, k)
+        sel = _index_side(rows, workers, k)
+        chunk = np.full(len(sel), np.inf)
+        with np.errstate(all="ignore"):  # singular or overflowing lanes read inf
+            x = solve(sel)
+            live = np.isfinite(x).all(axis=(1, 2))
+            if live.any():
+                errs = errors(sel[live], x[live])
+                chunk[live] = np.where(np.isfinite(errs), errs, np.inf)
+        values.append(chunk)
+    return subset_stats(np.concatenate(values), idx, workers, k)
 
 
-def _matmul_errors(solver, recovery, all_evals, truth_blocks, truth_norm, sel) -> np.ndarray:
+def _matmul_errors(all_evals, truth_blocks, truth_norm, sel, weights) -> np.ndarray:
     """Relative errors of the folded fusion map, one per survivor row of
-    ``sel``: an output entry's estimate is its eval row times the weights
-    W_R = G_R^{-1} @ recovery of one stacked ``solver.weights``, scattered
-    back over all workers.  The eval table is read one cache-sized entry
-    block (``REPLAY_BLOCK_FLOATS``) at a time, each subset taking its own
-    product against it, so a lane's products have the same shapes whatever
-    its chunk holds and its value depends on no other subset.  Only the
-    live lanes, whose weights are all finite, are scattered and take
-    products; every other lane (NaN or inf weights, as a singular G_R
-    gives) reads ``inf`` without an estimate product, so a chunk with no
-    live lane reads none of the table."""
-    weights = solver.weights(sel, recovery)
-    live = np.isfinite(weights).all(axis=(1, 2))
-    errors = np.full(len(sel), np.inf)
-    count, workers = np.count_nonzero(live), solver.generator.shape[1]
-    if not count:
-        return errors
-    scattered = np.zeros((count, workers, recovery.shape[1]))
-    scattered[np.arange(count)[:, None], sel[live], :] = weights[live]
+    ``sel``: an output entry's estimate is its eval row times the lane's
+    weights W_R = G_R^{-1} @ recovery, scattered back over all workers.
+    The eval table is read one cache-sized entry block
+    (``REPLAY_BLOCK_FLOATS``) at a time, each subset taking its own
+    product against it, so a lane's products have the same shapes
+    whatever its chunk holds and its value depends on no other subset."""
+    count, workers = len(sel), all_evals.shape[1]
+    scattered = np.zeros((count, workers, weights.shape[2]))
+    scattered[np.arange(count)[:, None], sel, :] = weights
     rows = max(1, REPLAY_BLOCK_FLOATS // workers)
     squares = np.zeros(count)
     for lo in range(0, all_evals.shape[0], rows):
         diffs = np.matmul(all_evals[None, lo : lo + rows], scattered)
         diffs -= truth_blocks[None, lo : lo + rows]
         squares += np.square(diffs, out=diffs).reshape(count, -1).sum(axis=1)
-    errors[live] = np.sqrt(squares) / truth_norm
-    return errors
+    return np.sqrt(squares) / truth_norm
 
 
 def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
@@ -252,8 +253,9 @@ def run_trial(config, a, b, fault: FaultModel) -> SubsetStats:
     truth_norm = float(np.linalg.norm(truth_blocks))
     (k, q), entries = op.recovery.shape, all_evals.shape[0]
     cost = k * k + 2 * k * q + config.workers * q + 2 * entries * q  # floats per subset
-    args = op.solver, op.recovery, all_evals, truth_blocks, truth_norm
-    return _replay(idx, config.workers, k, cost, functools.partial(_matmul_errors, *args))
+    solve = functools.partial(op.solver.weights, rhs=op.recovery)
+    errors = functools.partial(_matmul_errors, all_evals, truth_blocks, truth_norm)
+    return _replay(idx, config.workers, k, cost, solve, errors)
 
 
 def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebyshev") -> SubsetStats:
@@ -261,27 +263,27 @@ def run_lagrange_trial(config, f, data, fault: FaultModel, basis: str = "chebysh
     The survivor subsets are listed first, as in :func:`run_trial`.  Each
     replayed chunk takes one stacked solve G_R^T v_R = outputs_R of
     :func:`chebcoded.lagrange_codes.decode_solver` (a right-hand side per
-    output component, not per anchor) and the estimates of
-    :func:`chebcoded.lagrange_codes.anchor_estimates`.  A lane whose v_R is
-    singular (NaN) or overflows reports the infinity sentinel, even when
-    no anchor was erased, as does a lane whose error overflows."""
+    output component, not per anchor); its live lanes take the estimates
+    of :func:`chebcoded.lagrange_codes.anchor_estimates`.  A lane whose
+    v_R is singular (NaN) or overflows reports the infinity sentinel,
+    even when no anchor was erased, as does a lane whose error overflows."""
     idx = survivor_subsets(fault, config.workers, config.threshold)
     encoded = lagrange_codes.lagrange_encode(config, data)
     outs = lagrange_codes.worker_outputs(config, f, encoded)  # (P, v)
-    truth = np.stack([f(row) for row in as_matrix(data)])  # (m, v)
+    truth = lagrange_codes.worker_outputs(config, f, data)  # (m, v): f at the raw data
     solver = lagrange_codes.decode_solver(config, basis)
     anchors = solver.generator[:, : config.m]
     k, v = config.threshold, outs.shape[1]
     truth_norm = float(np.linalg.norm(truth))
 
-    def errors(sel):
-        outs_r = outs[sel]
-        folded = solver.fold(sel, outs_r)
-        diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs_r) - truth
-        errs = np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
-        return np.where(np.isfinite(folded).all(axis=(1, 2)), errs, np.inf)
+    def solve(sel):
+        return solver.fold(sel, outs[sel])
 
-    return _replay(idx, config.workers, k, 2 * k * k + 3 * k * v + config.m * v, errors)
+    def errors(sel, folded):
+        diffs = lagrange_codes.anchor_estimates(anchors, folded, sel, outs[sel]) - truth
+        return np.sqrt(np.square(diffs).reshape(len(sel), -1).sum(axis=1)) / truth_norm
+
+    return _replay(idx, config.workers, k, 2 * k * k + 3 * k * v + config.m * v, solve, errors)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ def test_criterion_3_coefficient_maps():
             [sum(b[kk, l] * t_prime(b_exps[kk * m3 + l], x) for kk in range(m2) for l in range(m3))
              for x in pts]
         )
-        coeffs = solve(build_generator("chebyshev", k, pts).T, pa * pb)
+        gen = build_generator("chebyshev", k, pts)
+        coeffs = solve(gen.T[None], (pa * pb)[None, :, None])[0, :, 0]
         for i in range(m1):
             for l in range(m3):
                 want = 0.5 * sum(a[i, j] * b[j, l] for j in range(m2))

@@ -15,6 +15,7 @@ from chebcoded.matmul_codes import (
     build_h_map,
     output_coefficient_index,
     decode,
+    decode_operator,
     encode,
     gen_encoding_exponents,
     recovery_threshold,
@@ -442,6 +443,13 @@ class TestHMap:
         h = build_h_map(4, 4)
         assert np.linalg.matrix_rank(h) == 16
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3), (2, 5), (5, 2), (6, 6), (9, 9)])
+    def test_orthopoly_recovery_inverts_h(self, m, n):
+        # the recovery map is H^-T, solved as a one-lane stack
+        recovery = decode_operator(scheme_config("orthopoly", m * n + 2, m=m, n=n)).recovery
+        residual = recovery.T @ build_h_map(m, n) - np.eye(m * n)
+        assert np.linalg.norm(residual) <= 1e-12 * m * n
+
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (2, 4), (4, 2)])
     def test_reproduces_product_coefficients(self, m, n):
         """H applied to scalar block products matches interpolation of the
@@ -454,7 +462,7 @@ class TestHMap:
         pa = np.array([sum(a[i] * cheb_T(i, x) for i in range(m)) for x in pts])
         pb = np.array([sum(b[j] * cheb_T(j * m, x) for j in range(n)) for x in pts])
         gen = build_generator("chebyshev", size, pts)
-        coeffs = solve(gen.T, pa * pb)
+        coeffs = solve(gen.T[None], (pa * pb)[None, :, None])[0, :, 0]
         blockvec = np.array([a[i] * b[j] for j in range(n) for i in range(m)])
         assert build_h_map(m, n) @ blockvec == pytest.approx(coeffs, abs=1e-9)
 
@@ -485,7 +493,8 @@ class TestOutputCoefficientIndices:
                 for x in pts
             ]
         )
-        coeffs = solve(build_generator("chebyshev", k, pts).T, pa * pb)
+        gen = build_generator("chebyshev", k, pts)
+        coeffs = solve(gen.T[None], (pa * pb)[None, :, None])[0, :, 0]
         for i in range(m1):
             for l in range(m3):
                 want = 0.5 * sum(a[i, j] * b[j, l] for j in range(m2))

@@ -38,6 +38,19 @@ from chebcoded.sim_harness import (
 )
 
 
+def _record_values(monkeypatch):
+    """A list that gathers the per-subset values of every replay, as
+    :func:`sim_harness._replay` hands them to ``subset_stats``."""
+    values = []
+
+    def recording_stats(errors, *args):
+        values.append(errors)
+        return cheb_vandermonde.subset_stats(errors, *args)
+
+    monkeypatch.setattr(sim_harness, "subset_stats", recording_stats)
+    return values
+
+
 def _survivors(fault, workers, threshold):
     """The 1-based survivor sets of a fault model, in replay order."""
     idx = survivor_subsets(fault, workers, threshold)
@@ -291,6 +304,57 @@ class TestLagrangeTrial:
             lagrange_codes.lagrange_decode(cfg, f, fixed.subset, outs[:58], "monomial")
 
 
+class TestLagrangeSingularLanes:
+    """The Lagrange replay hands only live lanes, whose fold is all
+    finite, to :func:`chebcoded.lagrange_codes.anchor_estimates`."""
+
+    @staticmethod
+    def _record_estimates(monkeypatch):
+        """A list that gathers the survivors of every anchor_estimates call."""
+        calls = []
+        anchor_estimates = lagrange_codes.anchor_estimates
+
+        def recording_estimates(anchors, folded, sel, outputs):
+            calls.append(np.array(sel))
+            return anchor_estimates(anchors, folded, sel, outputs)
+
+        monkeypatch.setattr(lagrange_codes, "anchor_estimates", recording_estimates)
+        return calls
+
+    def test_an_all_singular_chunk_reads_inf_without_an_estimate(self, monkeypatch):
+        # every monomial survivor matrix at P = 60 (K = 58) fails the pivot test
+        calls, values = self._record_estimates(monkeypatch), _record_values(monkeypatch)
+        cfg = lagrange_codes.LagrangeConfig(m=58, workers=60, dim=3, deg_f=1)
+        rng = Rng(24)
+        data, f = gaussian_matrix(rng, 58, 3), lagrange_codes.linear_map(rng.normals(3))
+        fault = FaultModel(mode="random", samples=20, seed=1)
+        assert run_lagrange_trial(cfg, f, data, fault, "monomial").worst == math.inf
+        (chunk,) = values
+        assert len(chunk) == 20 and np.all(chunk == math.inf)
+        assert calls == []
+
+    def test_live_lanes_of_a_mixed_chunk_equal_their_lanes_alone(self, monkeypatch):
+        points = poly_basis.cheb_grid(10).points.copy()
+        points[-1] = np.nextafter(points[-2], -2.0)  # workers 9 and 10 one ulp apart
+        cfg = lagrange_codes.LagrangeConfig(m=6, workers=10, dim=3, deg_f=1, points=points)
+        rng = Rng(25)
+        data, f = gaussian_matrix(rng, 6, 3), lagrange_codes.linear_map(rng.normals(3))
+        calls, values = self._record_estimates(monkeypatch), _record_values(monkeypatch)
+        fault = FaultModel(mode="exhaustive")
+        run_lagrange_trial(cfg, f, data, fault, "monomial")
+        (chunk,), (live_sel,) = values, calls
+        sel = np.array(_survivors(fault, 10, 6)) - 1
+        singular = np.isin(sel, 8).any(1) & np.isin(sel, 9).any(1)
+        assert singular.any() and not singular.all()
+        assert np.array_equal(live_sel, sel[~singular])
+        assert np.all(chunk[singular] == math.inf) and np.isfinite(chunk[~singular]).all()
+        for i, subset in enumerate((sel + 1).tolist()):
+            calls.clear()
+            alone = FaultModel(mode="fixed", subset=tuple(subset))
+            assert run_lagrange_trial(cfg, f, data, alone, "monomial").worst == chunk[i]
+            assert len(calls) == (0 if singular[i] else 1)
+
+
 class TestLaneIndependence:
     """A replayed subset's value is a function of its own inputs: the eval
     table is read in entry blocks, and every subset takes the same
@@ -368,7 +432,7 @@ class TestLaneIndependence:
         table.reads = []
         return table
 
-    def test_singular_lanes_take_no_estimate_product(self):
+    def test_singular_lanes_take_no_estimate_product(self, monkeypatch):
         # near-coincident points make every monomial survivor matrix singular
         config = scheme_config("matdot", 7, m=2, points=np.linspace(0.0, 1e-13, 7))
         op = matmul_codes.decode_operator(config)
@@ -376,10 +440,12 @@ class TestLaneIndependence:
         evals = self._recording_table(rng, 30, 7)
         truth = gaussian_matrix(rng, 30, 1)
         sel = np.array(list(itertools.combinations(range(7), 3)))
-        errors = sim_harness._matmul_errors(
-            op.solver, op.recovery, evals, truth, float(np.linalg.norm(truth)), sel
-        )
-        assert np.all(errors == math.inf)
+        values = _record_values(monkeypatch)
+        solve = partial(op.solver.weights, rhs=op.recovery)
+        errors_of = partial(sim_harness._matmul_errors, evals, truth, float(np.linalg.norm(truth)))
+        sim_harness._replay(sel, 7, 3, 1, solve, errors_of)  # all subsets in one chunk
+        (errors,) = values
+        assert len(errors) == len(sel) and np.all(errors == math.inf)
         assert evals.reads == []
 
     def test_live_lanes_of_a_mixed_chunk_equal_their_lanes_alone(self, monkeypatch):
@@ -393,20 +459,24 @@ class TestLaneIndependence:
         evals = self._recording_table(rng, entries, workers)
         truth = gaussian_matrix(rng, entries, 2)
         monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 8)  # 7 entry blocks
-        errors_of = partial(
-            sim_harness._matmul_errors, solver, recovery, evals, truth, float(np.linalg.norm(truth))
-        )
+        values = _record_values(monkeypatch)
+        solve = partial(solver.weights, rhs=recovery)
+        errors_of = partial(sim_harness._matmul_errors, evals, truth, float(np.linalg.norm(truth)))
+
+        def replay(rows):  # the trials' one replay loop, all rows in one chunk
+            sim_harness._replay(rows, workers, k, 1, solve, errors_of)
+            return values[-1]
+
         sel = np.array(list(itertools.combinations(range(workers), k)))
         singular = np.isin(sel, 8).any(1) & np.isin(sel, 9).any(1)
         assert singular.any() and not singular.all()
-        with np.errstate(all="ignore"):
-            errors = errors_of(sel)
-            assert np.all(errors[singular] == math.inf) and np.isfinite(errors[~singular]).all()
-            assert len(evals.reads) == 7  # one read a block for the whole chunk
-            for i in range(len(sel)):
-                evals.reads.clear()
-                assert errors_of(sel[i : i + 1])[0] == errors[i]  # bit for bit
-                assert len(evals.reads) == (0 if singular[i] else 7)
+        errors = replay(sel)
+        assert np.all(errors[singular] == math.inf) and np.isfinite(errors[~singular]).all()
+        assert len(evals.reads) == 7  # one read a block for the whole chunk
+        for i in range(len(sel)):
+            evals.reads.clear()
+            assert replay(sel[i : i + 1])[0] == errors[i]  # bit for bit
+            assert len(evals.reads) == (0 if singular[i] else 7)
 
     def test_singular_and_overflowing_lanes_read_inf_over_several_blocks(self, monkeypatch):
         workers, k, entries = 16, 13, 40
@@ -420,19 +490,14 @@ class TestLaneIndependence:
         truth = gaussian_matrix(rng, entries, 2)
         idx = sim_harness.survivor_subsets(FaultModel(mode="exhaustive"), workers, k)
         monkeypatch.setattr(sim_harness, "REPLAY_BLOCK_FLOATS", workers * 4)  # 10 entry blocks
-        values = []
-
-        def recording_stats(errors, *args):
-            values.append(errors)
-            return cheb_vandermonde.subset_stats(errors, *args)
-
-        monkeypatch.setattr(sim_harness, "subset_stats", recording_stats)
+        values = _record_values(monkeypatch)
         solver = cheb_vandermonde.SurvivorSolver(generator)  # the blocked LU
+        solve = partial(solver.weights, rhs=recovery)
         norm = float(np.linalg.norm(truth))
-        errors_of = partial(sim_harness._matmul_errors, solver, recovery, all_evals, truth, norm)
+        errors_of = partial(sim_harness._matmul_errors, all_evals, truth, norm)
 
         def replay(rows):  # the trials' one replay loop, all rows in one chunk
-            return sim_harness._replay(rows, workers, k, 1, errors_of)
+            return sim_harness._replay(rows, workers, k, 1, solve, errors_of)
 
         stats = replay(idx)
         (errors,) = values
@@ -444,7 +509,7 @@ class TestLaneIndependence:
         assert np.all(errors[inf] == math.inf) and np.isfinite(errors[~inf]).all()
         assert stats.worst == math.inf
         lane = np.flatnonzero(~inf)[0]
-        weights = linalg.solve(generator[:, survivors[lane]], recovery)
+        weights = linalg.solve(generator[:, survivors[lane]][None], recovery[None])[0]
         direct = relative_error(truth, all_evals[:, survivors[lane]] @ weights)
         assert errors[lane] == pytest.approx(direct, rel=1e-12)
         for i, row in enumerate(idx):  # each lane replayed alone gives the same bits

@@ -17,10 +17,20 @@ from chebcoded.poly_basis import cheb_grid
 EPS = np.finfo(np.float64).eps
 
 
+# the generator kind that decode_operator builds for each Chebyshev family
+FAMILY_KINDS = {
+    "orthomatdot": "chebyshev_normalized",
+    "orthopoly": "chebyshev",
+    "gen_orthomatdot": "chebyshev",
+}
+
+
 def _matmul_case(family, workers, **splits):
     config = matmul_codes.scheme_config(family, workers, **splits)
     op = matmul_codes.decode_operator(config)
-    return op.generator, op.kind, config.points, op.recovery
+    generator, kind = op.solver.generator, FAMILY_KINDS[family]
+    assert np.array_equal(generator, build_generator(kind, op.threshold, config.points))
+    return generator, kind, config.points, op.recovery
 
 
 def _lagrange_case(m, workers, basis="chebyshev"):
@@ -219,6 +229,27 @@ def test_a_singular_lu_decode_raises_naming_the_survivors_and_its_replay_reads_i
     assert sim_harness.run_lagrange_trial(config, f, data, fixed, "monomial").worst == math.inf
 
 
+def test_an_overflowing_decode_raises_where_its_replay_lane_reads_inf():
+    """A lane that passes the pivot test but whose solve overflows to
+    [-inf, inf]: a single decode raises on the replay's predicate (any
+    non-finite entry, not only NaN), the same lane in a stack reads
+    non-finite, and the replay reads inf without computing an error."""
+    solver = SurvivorSolver(np.array([[1.0, 0.5, 0.5], [0.5, 0.25 + 1e-13, 0.5]]))
+    rhs = np.array([[1.0], [1e300]])
+    sel = np.array([0, 1])
+    for method in (solver.weights, solver.fold):
+        stacked = method(sel[None], rhs)
+        assert np.array_equal(stacked[0], [[-math.inf], [math.inf]])
+        with pytest.raises(SingularMatrixError, match=re.escape("survivors [1, 2]")):
+            method(sel, rhs)
+
+    def no_errors(sel, x):
+        raise AssertionError("a lane that is not all finite took an error")
+
+    stats = sim_harness._replay(sel[None], 3, 2, 1, lambda s: solver.weights(s, rhs), no_errors)
+    assert stats.worst == math.inf
+
+
 def test_no_erased_column_needs_no_solve(monkeypatch):
     n = 9
     generator = build_generator("chebyshev_normalized", n, cheb_grid(n).points)
@@ -266,7 +297,7 @@ def test_other_generators_call_the_k_by_k_solve(monkeypatch, kind, n, k, points)
     lanes = np.broadcast_to(rhs, (len(sel), k, 2))
     assert np.array_equal(solver.weights(sel, rhs), linalg.solve(stack, lanes))
     assert np.array_equal(solver.fold(sel, lanes), linalg.solve(generator.T[sel], lanes))
-    assert np.array_equal(solver.weights(sel[0], rhs), linalg.solve(stack[0], rhs))
+    assert np.array_equal(solver.weights(sel[0], rhs), linalg.solve(stack[:1], rhs[None])[0])
     for norm in ("spectral", "frobenius"):  # one batched SVD, no solve
         assert np.array_equal(solver.conds(sel, norm), linalg.cond(stack, norm))
     assert sizes == [(k, k)] * 3
